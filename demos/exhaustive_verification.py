@@ -11,7 +11,7 @@ import time
 
 import poplab as pl
 from poplab.engine import ProtocolParams
-from poplab.oracles import SafeLevel, check_spec, classify_rank_config
+from poplab.oracles import safe_predicate
 from poplab.verifier import GREEDY_DEGREE
 
 for kind, n in [("complete", 2), ("complete", 3), ("path", 3)]:
@@ -20,9 +20,7 @@ for kind, n in [("complete", 2), ("complete", 3), ("path", 3)]:
     t0 = time.monotonic()
     tg = pl.build_transition_graph(pl.RANKING, g, params)
     fsets = pl.final_sets(tg)
-    verdict = pl.verify_transition_graph(
-        tg, lambda states: classify_rank_config(states, params) is SafeLevel.RANKED
-    )
+    verdict = pl.verify_transition_graph(tg, fsets, safe_predicate(pl.RANKING, g, params))
     dt = time.monotonic() - t0
     print(f"{kind}:{n}: {tg.config_count:>9,} configurations, "
           f"{len(fsets)} final sets ({sum(map(len, fsets))} configurations), "
@@ -32,10 +30,7 @@ for kind, n in [("complete", 2), ("complete", 3), ("path", 3)]:
 # labels claims degree = set size, and the verifier hands back a witness.
 g = pl.generate_graph("path", 3)
 params = ProtocolParams(n=3, tmax=1)
-verdict = pl.verify_self_stabilizing(
-    GREEDY_DEGREE, g, params,
-    lambda states: check_spec("degree", [GREEDY_DEGREE.output(s) for s in states], g),
-)
+verdict = pl.verify_self_stabilizing(GREEDY_DEGREE, g, params, safe_predicate(GREEDY_DEGREE, g, params))
 print(f"\ngreedydegree on path:3 verifies: {verdict is True}")
 print(f"witness kind: {verdict.kind}")
 print(f"witness start outputs: {[GREEDY_DEGREE.output(s) for s in verdict.start]} "

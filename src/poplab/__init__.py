@@ -12,10 +12,12 @@ narrative walkthroughs, and the ``poplab`` command for the CLI.
 from .engine import (
     DEFAULT_CLOSURE_WINDOW,
     InteractionTrace,
+    Protocol,
     ProtocolParams,
     RunResult,
     TokenTracker,
     apply_interaction,
+    checked_step,
     default_params,
     draw_pair,
     mix_seed,
@@ -52,6 +54,7 @@ from .oracles import (
     neighbor_safe,
     neighbor_safe_predicate,
     rank_safe_predicate,
+    safe_predicate,
 )
 from .ranking import BLUE, RANKING, RED, WHITE, RankState
 from .verifier import (

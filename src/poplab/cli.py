@@ -89,14 +89,6 @@ def _params_for(protocol, g, args) -> engine.ProtocolParams:
     )
 
 
-def _safe_predicate_for(protocol, g, params):
-    if protocol.name == "ranking":
-        return oracles.rank_safe_predicate(params)
-    if protocol.name == "neighbor":
-        return oracles.neighbor_safe_predicate(g, params)
-    raise SpecError(f"protocol {protocol.name!r} has no convergence predicate; use verify")
-
-
 def _reference_steps(g, params) -> float:
     """Convergence yardstick m*n^3*d*log2(n) + n^2*tmax for ratio reporting."""
     n = g.n
@@ -105,7 +97,7 @@ def _reference_steps(g, params) -> float:
 
 def _run_cell(protocol, g, args, master_seed, csv_writer, graph_label) -> bool:
     params = _params_for(protocol, g, args)
-    predicate = _safe_predicate_for(protocol, g, params)
+    predicate = oracles.safe_predicate(protocol, g, params)
     all_ok = True
     steps_seen = []
     for i in range(args.trials):
@@ -211,19 +203,13 @@ def cmd_verify(args) -> int:
         params = engine.default_params(g, know_m=True, tmax=args.tmax)
     else:
         params = engine.ProtocolParams(n=g.n, tmax=args.tmax or 1)
-    if protocol.name == "ranking":
-        safe = lambda states: oracles.classify_rank_config(states, params) is oracles.SafeLevel.RANKED
-    elif protocol.name == "neighbor":
-        safe = lambda states: oracles.neighbor_safe(states, g, params)
-    else:
-        safe = lambda states: check_degree_outputs(protocol, states, g)
     try:
         tg = verifier.build_transition_graph(protocol, g, params, args.budget)
     except TooLarge as exc:
         _emit({"record": "error", "error": "TooLarge", "detail": str(exc)})
         return EXIT_TOO_LARGE
     fsets = verifier.final_sets(tg)
-    verdict = verifier.verify_transition_graph(tg, safe)
+    verdict = verifier.verify_transition_graph(tg, fsets, oracles.safe_predicate(protocol, g, params))
     report = {
         "record": "verify",
         "protocol": protocol.name,
@@ -239,10 +225,6 @@ def cmd_verify(args) -> int:
     report["witness"] = verdict.to_json(protocol)
     _emit(report)
     return EXIT_WITNESS
-
-
-def check_degree_outputs(protocol, states, g) -> bool:
-    return oracles.check_spec("degree", [protocol.output(s) for s in states], g)
 
 
 def cmd_walk(args) -> int:

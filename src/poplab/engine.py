@@ -1,4 +1,8 @@
-"""Execution engine: uniformly random scheduler, trials, token tracking.
+"""Execution engine: the protocol interface, the scheduler, trials, token tracking.
+
+Every protocol is one ``Protocol`` record of functions whose ``step`` is
+unchecked; ``checked_step`` is the single place that validates both endpoint
+states before stepping.  The engine reaches a protocol by attribute only.
 
 A configuration is a plain tuple of per-agent states (agent id = index).
 One step = one interaction: a directed pair (initiator, responder) drawn
@@ -13,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -22,6 +26,38 @@ from .graph import Graph
 
 DEFAULT_CLOSURE_WINDOW = 100_000
 _BLOCK = 8192
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """The interface every protocol implements, as a record of its functions.
+
+    ``step(s0, s1, params)`` is one interaction (s0 initiates, s1 responds)
+    without domain checks; wrap it in ``checked_step`` for untrusted states.
+    ``validate_params(params)`` and ``validate_state(s, params)`` raise on
+    out-of-domain input.  ``state_count``, ``state_to_index`` and
+    ``state_from_index`` number the per-agent states 0..q-1 (the verifier's
+    packing order), ``random_state(rng, params)`` draws one uniformly,
+    ``output(s)`` is the agent's claim and ``to_json(s)`` renders a state.
+    """
+
+    name: str
+    validate_params: Callable[[Any], None]
+    validate_state: Callable[[Any, Any], None]
+    state_count: Callable[[Any], int]
+    state_to_index: Callable[[Any, Any], int]
+    state_from_index: Callable[[int, Any], Any]
+    random_state: Callable[[np.random.Generator, Any], Any]
+    step: Callable[[Any, Any, Any], tuple]
+    output: Callable[[Any], Any]
+    to_json: Callable[[Any], dict]
+
+
+def checked_step(protocol, s0, s1, params) -> tuple:
+    """One interaction with both endpoint states validated first."""
+    protocol.validate_state(s0, params)
+    protocol.validate_state(s1, params)
+    return protocol.step(s0, s1, params)
 
 
 @dataclass(frozen=True)
@@ -145,7 +181,7 @@ def apply_interaction(protocol, g: Graph, c: Sequence, pair: tuple[int, int], pa
     u, v = pair
     if not g.has_edge(u, v):
         raise NotAnEdge(f"({u},{v}) is not a directed edge")
-    s0, s1 = protocol.step(c[u], c[v], params)
+    s0, s1 = checked_step(protocol, c[u], c[v], params)
     out = list(c)
     out[u] = s0
     out[v] = s1
@@ -180,10 +216,8 @@ def run_until(
     extra steps, recording whether any agent output changed.  Non-convergence
     within ``max_steps`` is data (steps_to_safe=None), not an error.
 
-    A predicate may carry a ``signature`` attribute mapping a state to the
-    projection it actually reads; the engine then re-evaluates it only when
-    a step changed some signature, which is sound because the predicate is a
-    function of the per-agent signatures alone.
+    ``c0`` is validated once up front; every step then calls the protocol's
+    unchecked ``step``, whose results stay in the declared domain.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -196,8 +230,7 @@ def run_until(
     rng = np.random.default_rng(seed)
     pairs = g.directed_pairs
     npairs = len(pairs)
-    step = getattr(protocol, "step_fast", protocol.step)
-    sig = getattr(safe_predicate, "signature", None)
+    step = protocol.step
     states = list(c0)
     trace = [] if record_trace else None
 
@@ -207,18 +240,15 @@ def run_until(
         block = rng.integers(0, npairs, size=min(_BLOCK, max_steps - steps)).tolist()
         for idx in block:
             u, v = pairs[idx]
-            s0 = states[u]
-            s1 = states[v]
-            t0, t1 = step(s0, s1, params)
+            t0, t1 = step(states[u], states[v], params)
             states[u] = t0
             states[v] = t1
             steps += 1
             if trace is not None:
                 trace.append((u, v))
-            if sig is None or sig(t0) != sig(s0) or sig(t1) != sig(s1):
-                if safe_predicate(states):
-                    steps_to_safe = steps
-                    break
+            if safe_predicate(states):
+                steps_to_safe = steps
+                break
 
     closure_ok = None
     if steps_to_safe is not None and closure_window > 0:

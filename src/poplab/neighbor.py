@@ -14,13 +14,20 @@ agent clears its neighbor set, after which the accumulation restarts clean.
 
 Neighbor and counted sets are stored as bitmasks over labels 0..n-1, which
 also realizes the O(n)-bits-per-agent memory claim (see ``packed_bit_length``).
+
+The module's functions make up ``NEIGHBOR``, the protocol's one
+``engine.Protocol`` record; ``step`` is unchecked (validate states with
+``engine.checked_step``).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from . import ranking
+from .engine import Protocol
 from .errors import DomainViolation, MissingKnowledge
 from .ranking import RankState
 
@@ -52,6 +59,26 @@ def mask_of(labels) -> int:
     return out
 
 
+def random_mask(rng, n: int) -> int:
+    """Uniform n-bit mask, drawn as words of at most 64 bits, lowest word first.
+
+    For n <= 63 the one uint64 draw returns the value of, and advances the
+    generator exactly as, ``rng.integers(0, 1 << n)``, whose int64 bound
+    overflows from n = 64 on; each further 64 bits take one more word.
+    """
+    out = 0
+    for shift in range(0, n, 64):
+        width = min(64, n - shift)
+        out |= int(rng.integers(0, 1 << width, dtype=np.uint64)) << shift
+    return out
+
+
+def validate_params(params) -> None:
+    ranking.validate_params(params)
+    if params.m_known is None:
+        raise MissingKnowledge("neighbor recognition requires exact knowledge of m")
+
+
 def validate_state(s: NeighborState, params) -> None:
     if params.m_known is None:
         raise MissingKnowledge("neighbor recognition requires exact knowledge of m")
@@ -69,13 +96,13 @@ def validate_state(s: NeighborState, params) -> None:
         raise DomainViolation(f"label set out of range in {s}")
 
 
-def _step(a0: NeighborState, a1: NeighborState, params) -> tuple[NeighborState, NeighborState]:
-    """Unchecked interaction body; a0 initiates, a1 responds."""
+def step(a0: NeighborState, a1: NeighborState, params) -> tuple[NeighborState, NeighborState]:
+    """One interaction without domain checks; a0 initiates, a1 responds."""
     pmax = params.pmax
     emax = params.emax
     cap = 2 * params.m_known + 1
 
-    r0, r1 = ranking._step(a0.rank, a1.rank, params)
+    r0, r1 = ranking.step(a0.rank, a1.rank, params)
 
     # The degree payload travels with the physical token, renamed or not.
     deg0, deg1 = a1.degreeT, a0.degreeT
@@ -129,13 +156,6 @@ def _step(a0: NeighborState, a1: NeighborState, params) -> tuple[NeighborState, 
         NeighborState(r0, deg0, dsum0, reset0, p0, nb0, counted0),
         NeighborState(r1, deg1, dsum1, reset1, p1, nb1, counted1),
     )
-
-
-def step(a0: NeighborState, a1: NeighborState, params) -> tuple[NeighborState, NeighborState]:
-    """One interaction (initiator a0, responder a1), with domain checks."""
-    validate_state(a0, params)
-    validate_state(a1, params)
-    return _step(a0, a1, params)
 
 
 def output(s: NeighborState):
@@ -242,79 +262,68 @@ def unpack_state(packed: int, params) -> NeighborState:
     )
 
 
-class NeighborProtocol:
-    """Neighbor recognition wrapped in the generic protocol interface.
-
-    State indexing extends the ranking order with (degreeT, dsum, resetE,
-    timerP, neighbors, counted), most significant first.
-    """
-
-    name = "neighbor"
-
-    @staticmethod
-    def validate_params(params) -> None:
-        ranking.RankingProtocol.validate_params(params)
-        if params.m_known is None:
-            raise MissingKnowledge("neighbor recognition requires exact knowledge of m")
-
-    @staticmethod
-    def state_count(params) -> int:
-        NeighborProtocol.validate_params(params)
-        n, m = params.n, params.m_known
-        return (
-            ranking.RankingProtocol.state_count(params)
-            * (n + 1) * (2 * m + 2) * (params.emax + 1) * (params.pmax + 1)
-            * (1 << n) * (1 << n)
-        )
-
-    @staticmethod
-    def state_to_index(s: NeighborState, params) -> int:
-        n, m = params.n, params.m_known
-        i = ranking.RankingProtocol.state_to_index(s.rank, params)
-        i = i * (n + 1) + s.degreeT
-        i = i * (2 * m + 2) + s.dsum
-        i = i * (params.emax + 1) + s.resetE
-        i = i * (params.pmax + 1) + s.timerP
-        i = (i << n) | s.neighbors
-        return (i << n) | s.counted
-
-    @staticmethod
-    def state_from_index(i: int, params) -> NeighborState:
-        n, m = params.n, params.m_known
-        counted = i & ((1 << n) - 1)
-        i >>= n
-        neighbors = i & ((1 << n) - 1)
-        i >>= n
-        i, timerP = divmod(i, params.pmax + 1)
-        i, resetE = divmod(i, params.emax + 1)
-        i, dsum = divmod(i, 2 * m + 2)
-        rank_index, degreeT = divmod(i, n + 1)
-        return NeighborState(
-            rank=ranking.RankingProtocol.state_from_index(rank_index, params),
-            degreeT=degreeT, dsum=dsum, resetE=resetE, timerP=timerP,
-            neighbors=neighbors, counted=counted,
-        )
-
-    @staticmethod
-    def random_state(rng, params) -> NeighborState:
-        NeighborProtocol.validate_params(params)
-        n, m = params.n, params.m_known
-        return NeighborState(
-            rank=ranking.RANKING.random_state(rng, params),
-            degreeT=int(rng.integers(0, n + 1)),
-            dsum=int(rng.integers(0, 2 * m + 2)),
-            resetE=int(rng.integers(0, params.emax + 1)),
-            timerP=int(rng.integers(0, params.pmax + 1)),
-            neighbors=int(rng.integers(0, 1 << n)),
-            counted=int(rng.integers(0, 1 << n)),
-        )
-
-    validate_state = staticmethod(validate_state)
-    step = staticmethod(step)
-    step_fast = staticmethod(_step)
-    output = staticmethod(output)
-    to_json = staticmethod(to_json)
-    from_json = staticmethod(from_json)
+def state_count(params) -> int:
+    validate_params(params)
+    n, m = params.n, params.m_known
+    return (
+        ranking.state_count(params)
+        * (n + 1) * (2 * m + 2) * (params.emax + 1) * (params.pmax + 1)
+        * (1 << n) * (1 << n)
+    )
 
 
-NEIGHBOR = NeighborProtocol()
+def state_to_index(s: NeighborState, params) -> int:
+    """The ranking index extended by (degreeT, dsum, resetE, timerP, neighbors, counted)."""
+    n, m = params.n, params.m_known
+    i = ranking.state_to_index(s.rank, params)
+    i = i * (n + 1) + s.degreeT
+    i = i * (2 * m + 2) + s.dsum
+    i = i * (params.emax + 1) + s.resetE
+    i = i * (params.pmax + 1) + s.timerP
+    i = (i << n) | s.neighbors
+    return (i << n) | s.counted
+
+
+def state_from_index(i: int, params) -> NeighborState:
+    n, m = params.n, params.m_known
+    counted = i & ((1 << n) - 1)
+    i >>= n
+    neighbors = i & ((1 << n) - 1)
+    i >>= n
+    i, timerP = divmod(i, params.pmax + 1)
+    i, resetE = divmod(i, params.emax + 1)
+    i, dsum = divmod(i, 2 * m + 2)
+    rank_index, degreeT = divmod(i, n + 1)
+    return NeighborState(
+        rank=ranking.state_from_index(rank_index, params),
+        degreeT=degreeT, dsum=dsum, resetE=resetE, timerP=timerP,
+        neighbors=neighbors, counted=counted,
+    )
+
+
+def random_state(rng, params) -> NeighborState:
+    validate_params(params)
+    n, m = params.n, params.m_known
+    return NeighborState(
+        rank=ranking.random_state(rng, params),
+        degreeT=int(rng.integers(0, n + 1)),
+        dsum=int(rng.integers(0, 2 * m + 2)),
+        resetE=int(rng.integers(0, params.emax + 1)),
+        timerP=int(rng.integers(0, params.pmax + 1)),
+        neighbors=random_mask(rng, n),
+        counted=random_mask(rng, n),
+    )
+
+
+NEIGHBOR = Protocol(
+    name="neighbor",
+    validate_params=validate_params,
+    validate_state=validate_state,
+    state_count=state_count,
+    state_to_index=state_to_index,
+    state_from_index=state_from_index,
+    random_state=random_state,
+    step=step,
+    output=output,
+    to_json=to_json,
+)

@@ -1,8 +1,8 @@
 """Ground-truth machinery independent of the simulator.
 
 Problem-specification checkers, the nested safe-set classifier for the
-ranking protocol, a structural safe predicate for neighbor recognition,
-exact Markov-chain solvers for the token random walk, Monte Carlo walk
+ranking protocol, a structural safe predicate for neighbor recognition, the
+one map from a protocol to its safe predicate (``safe_predicate``), exact Markov-chain solvers for the token random walk, Monte Carlo walk
 estimators, and the token-collision game solver with its brute-force twin.
 """
 
@@ -63,16 +63,11 @@ def classify_rank_config(states: Sequence, params) -> SafeLevel:
 
 
 def rank_safe_predicate(params):
-    """Safe predicate: the configuration is fully ranked.
-
-    Carries a ``signature`` so the engine can skip re-evaluation on steps
-    that only moved timers.
-    """
+    """Safe predicate: the configuration is fully ranked."""
 
     def pred(states) -> bool:
         return classify_rank_config(states, params) is SafeLevel.RANKED
 
-    pred.signature = lambda s: (s[0], s[1], s[2], s[3])
     return pred
 
 
@@ -149,16 +144,33 @@ def neighbor_safe(states: Sequence, g: Graph, params) -> bool:
 
 
 def neighbor_safe_predicate(g: Graph, params):
-    """neighbor_safe as an engine predicate; ignores the two timers."""
+    """neighbor_safe as an engine predicate."""
 
     def pred(states) -> bool:
         return neighbor_safe(states, g, params)
 
-    pred.signature = lambda s: (
-        s[0][0], s[0][1], s[0][2], s[0][3],  # rank minus timerT
-        s[1], s[2], s[3], s[5], s[6],        # degreeT, dsum, resetE, neighbors, counted
-    )
     return pred
+
+
+def safe_predicate(protocol, g: Graph, params):
+    """The safe predicate a protocol is run and verified against, by its name.
+
+    ranking: ``rank_safe_predicate``; neighbor: ``neighbor_safe_predicate``;
+    greedydegree and fixedoutput: every agent's ``protocol.output`` is its
+    degree in ``g``.
+    """
+    if protocol.name == "ranking":
+        return rank_safe_predicate(params)
+    if protocol.name == "neighbor":
+        return neighbor_safe_predicate(g, params)
+    if protocol.name in ("greedydegree", "fixedoutput"):
+        output = protocol.output
+
+        def pred(states) -> bool:
+            return check_spec("degree", [output(s) for s in states], g)
+
+        return pred
+    raise ValueError(f"no safe predicate for protocol {protocol.name!r}")
 
 
 # ---------------------------------------------------------------------------

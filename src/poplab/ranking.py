@@ -17,12 +17,17 @@ mechanisms drive the system to distinct labels 0..n-1:
 
 ``timerT`` only paces the recoloring: the protocol is also correct with a
 tiny ``tmax``, just slower, which the model checker exploits.
+
+The module's functions make up ``RANKING``, the protocol's one
+``engine.Protocol`` record; ``step`` is unchecked (validate states with
+``engine.checked_step``).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from .engine import Protocol
 from .errors import DomainViolation
 
 WHITE, RED, BLUE = 0, 1, 2
@@ -38,6 +43,11 @@ class RankState(NamedTuple):
     timerT: int  # token recoloring timer, 0..tmax
 
 
+def validate_params(params) -> None:
+    if params.n < 2 or params.tmax < 1:
+        raise DomainViolation(f"need n >= 2 and tmax >= 1, got {params}")
+
+
 def validate_state(s: RankState, params) -> None:
     n, tmax = params.n, params.tmax
     if not (0 <= s.idA < n and 0 <= s.idT < n):
@@ -50,8 +60,8 @@ def validate_state(s: RankState, params) -> None:
         raise DomainViolation(f"token timer out of 0..{tmax} in {s}")
 
 
-def _step(a0: RankState, a1: RankState, params) -> tuple[RankState, RankState]:
-    """Unchecked interaction body; a0 initiates, a1 responds."""
+def step(a0: RankState, a1: RankState, params) -> tuple[RankState, RankState]:
+    """One interaction without domain checks; a0 initiates, a1 responds."""
     n = params.n
     tmax = params.tmax
 
@@ -105,13 +115,6 @@ def _step(a0: RankState, a1: RankState, params) -> tuple[RankState, RankState]:
     )
 
 
-def step(a0: RankState, a1: RankState, params) -> tuple[RankState, RankState]:
-    """One interaction (initiator a0, responder a1), with domain checks."""
-    validate_state(a0, params)
-    validate_state(a1, params)
-    return _step(a0, a1, params)
-
-
 def output(s: RankState) -> int:
     """The agent's rank claim: its label."""
     return s.idA
@@ -142,57 +145,46 @@ def from_json(obj: dict) -> RankState:
     )
 
 
-class RankingProtocol:
-    """Ranking protocol wrapped in the generic protocol interface.
-
-    Per-agent states are indexed in the mixed-radix order
-    (idA, idT, colorA, colorT, timerT), idA most significant; the same
-    canonical order is used by the verifier's configuration packing.
-    """
-
-    name = "ranking"
-
-    @staticmethod
-    def validate_params(params) -> None:
-        if params.n < 2 or params.tmax < 1:
-            raise DomainViolation(f"need n >= 2 and tmax >= 1, got {params}")
-
-    @staticmethod
-    def state_count(params) -> int:
-        return params.n * params.n * 3 * 2 * (params.tmax + 1)
-
-    @staticmethod
-    def state_to_index(s: RankState, params) -> int:
-        i = s.idA
-        i = i * params.n + s.idT
-        i = i * 3 + s.colorA
-        i = i * 2 + (s.colorT - RED)
-        return i * (params.tmax + 1) + s.timerT
-
-    @staticmethod
-    def state_from_index(i: int, params) -> RankState:
-        i, timerT = divmod(i, params.tmax + 1)
-        i, colorT = divmod(i, 2)
-        i, colorA = divmod(i, 3)
-        idA, idT = divmod(i, params.n)
-        return RankState(idA, idT, colorA, colorT + RED, timerT)
-
-    @staticmethod
-    def random_state(rng, params) -> RankState:
-        return RankState(
-            idA=int(rng.integers(0, params.n)),
-            idT=int(rng.integers(0, params.n)),
-            colorA=int(rng.integers(0, 3)),
-            colorT=RED + int(rng.integers(0, 2)),
-            timerT=int(rng.integers(0, params.tmax + 1)),
-        )
-
-    validate_state = staticmethod(validate_state)
-    step = staticmethod(step)
-    step_fast = staticmethod(_step)
-    output = staticmethod(output)
-    to_json = staticmethod(to_json)
-    from_json = staticmethod(from_json)
+def state_count(params) -> int:
+    return params.n * params.n * 3 * 2 * (params.tmax + 1)
 
 
-RANKING = RankingProtocol()
+def state_to_index(s: RankState, params) -> int:
+    """Mixed-radix index in the order (idA, idT, colorA, colorT, timerT), idA most significant."""
+    i = s.idA
+    i = i * params.n + s.idT
+    i = i * 3 + s.colorA
+    i = i * 2 + (s.colorT - RED)
+    return i * (params.tmax + 1) + s.timerT
+
+
+def state_from_index(i: int, params) -> RankState:
+    i, timerT = divmod(i, params.tmax + 1)
+    i, colorT = divmod(i, 2)
+    i, colorA = divmod(i, 3)
+    idA, idT = divmod(i, params.n)
+    return RankState(idA, idT, colorA, colorT + RED, timerT)
+
+
+def random_state(rng, params) -> RankState:
+    return RankState(
+        idA=int(rng.integers(0, params.n)),
+        idT=int(rng.integers(0, params.n)),
+        colorA=int(rng.integers(0, 3)),
+        colorT=RED + int(rng.integers(0, 2)),
+        timerT=int(rng.integers(0, params.tmax + 1)),
+    )
+
+
+RANKING = Protocol(
+    name="ranking",
+    validate_params=validate_params,
+    validate_state=validate_state,
+    state_count=state_count,
+    state_to_index=state_to_index,
+    state_from_index=state_from_index,
+    random_state=random_state,
+    step=step,
+    output=output,
+    to_json=to_json,
+)

@@ -9,8 +9,8 @@ witnesses that a degree-claiming protocol cannot be self-stabilizing.
 
 Configurations are packed into integers by mixed radix: agent 0 is the least
 significant digit, each digit being the protocol's per-agent state index.
-The packing is stable across runs (documented canonical field orders live on
-the protocol classes).
+The packing is stable across runs (the canonical field orders are documented
+on each protocol's ``state_to_index``).
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from .engine import Protocol, checked_step
 from .errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
 from .graph import Graph
-from .neighbor import bits
+from .neighbor import bits, random_mask
 from .oracles import check_spec
 
 DEFAULT_BUDGET = 10_000_000
@@ -43,7 +44,11 @@ def configured_budget(budget: int | None = None) -> int:
 
 @dataclass
 class TransitionGraph:
-    """Complete successor relation over the packed configuration space."""
+    """Complete successor relation over the packed configuration space.
+
+    ``t0``/``t1`` are the two-agent pair tables on state indices:
+    (i, j) -> the initiator's and the responder's next state index.
+    """
 
     protocol: object
     graph: Graph
@@ -52,6 +57,8 @@ class TransitionGraph:
     config_count: int
     directed_pairs: tuple[tuple[int, int], ...]
     successors: list[np.ndarray]  # one array of length config_count per directed pair
+    t0: np.ndarray
+    t1: np.ndarray
 
     def decode(self, key: int) -> tuple:
         q = self.agent_state_count
@@ -78,7 +85,7 @@ class TransitionGraph:
 def _pair_tables(protocol, params, q: int):
     """Tabulate the two-agent transition on state indices: (q0,q1) -> (q0',q1')."""
     states = [protocol.state_from_index(i, params) for i in range(q)]
-    step = getattr(protocol, "step_fast", protocol.step)
+    step = protocol.step
     t0 = np.empty((q, q), dtype=np.int64)
     t1 = np.empty((q, q), dtype=np.int64)
     to_index = protocol.state_to_index
@@ -124,6 +131,8 @@ def build_transition_graph(protocol, g: Graph, params, budget: int | None = None
         config_count=count,
         directed_pairs=g.directed_pairs,
         successors=successors,
+        t0=t0,
+        t1=t1,
     )
 
 
@@ -200,34 +209,54 @@ def replay_witness(protocol, witness: Witness, params) -> tuple:
     """Re-simulate the witness sequence; returns the configuration it ends in."""
     states = list(witness.start)
     for u, v in witness.pairs:
-        s0, s1 = protocol.step(states[u], states[v], params)
+        s0, s1 = checked_step(protocol, states[u], states[v], params)
         states[u] = s0
         states[v] = s1
     return tuple(states)
 
 
-def _path_to_output_change(tg: TransitionGraph, start_key: int, base_outputs: tuple):
-    """BFS over the transition relation for the nearest output change."""
+def _output_change_witness(tg: TransitionGraph, start_key: int, pairs, budget: int | None = None):
+    """Nearest output change from ``start_key``, by breadth-first search over ``pairs``.
+
+    Returns an output_change Witness, or None when no reachable configuration
+    changes an output.  Successors come from the pair tables, so ``pairs`` may
+    be those of another graph on the same agents (the impossibility search's
+    subgraph); with a ``budget``, visiting more configurations raises TooLarge.
+    """
+    q = tg.agent_state_count
+    powers = [q**u for u in range(tg.graph.n)]
+    base_outputs = tg.outputs_of(start_key)
     parent: dict[int, tuple[int, int]] = {start_key: (-1, -1)}
     queue = deque([start_key])
     while queue:
         key = queue.popleft()
-        for e in range(len(tg.successors)):
-            nxt = tg.successor(key, e)
+        for e, (u, v) in enumerate(pairs):
+            du = (key // powers[u]) % q
+            dv = (key // powers[v]) % q
+            nxt = key + (int(tg.t0[du, dv]) - du) * powers[u] + (int(tg.t1[du, dv]) - dv) * powers[v]
             if nxt in parent:
                 continue
+            if budget is not None and len(parent) >= budget:
+                raise TooLarge(len(parent) + 1, budget)
             parent[nxt] = (key, e)
             outs = tg.outputs_of(nxt)
             if outs != base_outputs:
-                pairs = []
+                path = []
                 cursor = nxt
                 while parent[cursor][0] != -1:
                     prev, edge = parent[cursor]
-                    pairs.append(tg.directed_pairs[edge])
+                    path.append(pairs[edge])
                     cursor = prev
-                pairs.reverse()
+                path.reverse()
                 agent = next(i for i in range(len(outs)) if outs[i] != base_outputs[i])
-                return tuple(pairs), agent, base_outputs[agent], outs[agent]
+                return Witness(
+                    kind="output_change",
+                    start=tg.decode(start_key),
+                    pairs=tuple(path),
+                    agent=agent,
+                    before=base_outputs[agent],
+                    after=outs[agent],
+                )
             queue.append(nxt)
     return None
 
@@ -247,26 +276,20 @@ def verify_self_stabilizing(
     exactly the final-set criterion.  Returns True or a Witness.
     """
     tg = build_transition_graph(protocol, g, params, budget)
-    return verify_transition_graph(tg, safe_predicate)
+    return verify_transition_graph(tg, final_sets(tg), safe_predicate)
 
 
-def verify_transition_graph(tg: TransitionGraph, safe_predicate: Callable):
-    """Final-set criterion on a prebuilt transition graph: True or a Witness."""
-    for fset in sorted(final_sets(tg), key=min):
+def verify_transition_graph(tg: TransitionGraph, fsets, safe_predicate: Callable):
+    """Final-set criterion on a prebuilt transition graph and its ``final_sets``.
+
+    Returns True or a Witness.
+    """
+    for fset in sorted(fsets, key=min):
         ref_key = min(fset)
         ref_outputs = tg.outputs_of(ref_key)
         for key in fset:
             if tg.outputs_of(key) != ref_outputs:
-                found = _path_to_output_change(tg, ref_key, ref_outputs)
-                pairs, agent, before, after = found
-                return Witness(
-                    kind="output_change",
-                    start=tg.decode(ref_key),
-                    pairs=pairs,
-                    agent=agent,
-                    before=before,
-                    after=after,
-                )
+                return _output_change_witness(tg, ref_key, tg.directed_pairs)
         for key in fset:
             states = tg.decode(key)
             if not safe_predicate(states):
@@ -308,7 +331,6 @@ def impossibility_witness(
         raise ValueError("g_sub's edges must be strictly contained in g_super's")
 
     tg = build_transition_graph(protocol, g_super, params, budget)
-    limit = configured_budget(budget)
 
     start_key = None
     base_outputs = None
@@ -327,43 +349,9 @@ def impossibility_witness(
         )
 
     # Explore the subgraph's reachable space from the supergraph-safe start.
-    q = tg.agent_state_count
-    t0, t1 = _pair_tables(protocol, params, q)
-    sub_pairs = tuple((u, v) for u in range(g_sub.n) for v in g_sub.adjacency[u])
-    powers = [q**u for u in range(g_sub.n)]
-
-    parent: dict[int, tuple[int, int]] = {start_key: (-1, -1)}
-    queue = deque([start_key])
-    while queue:
-        key = queue.popleft()
-        for e, (u, v) in enumerate(sub_pairs):
-            du = (key // powers[u]) % q
-            dv = (key // powers[v]) % q
-            nxt = key + (int(t0[du, dv]) - du) * powers[u] + (int(t1[du, dv]) - dv) * powers[v]
-            if nxt in parent:
-                continue
-            if len(parent) >= limit:
-                raise TooLarge(len(parent) + 1, limit)
-            parent[nxt] = (key, e)
-            outs = tg.outputs_of(nxt)
-            if outs != base_outputs:
-                pairs = []
-                cursor = nxt
-                while parent[cursor][0] != -1:
-                    prev, edge = parent[cursor]
-                    pairs.append(sub_pairs[edge])
-                    cursor = prev
-                pairs.reverse()
-                agent = next(i for i in range(len(outs)) if outs[i] != base_outputs[i])
-                return Witness(
-                    kind="output_change",
-                    start=tg.decode(start_key),
-                    pairs=tuple(pairs),
-                    agent=agent,
-                    before=base_outputs[agent],
-                    after=outs[agent],
-                )
-            queue.append(nxt)
+    witness = _output_change_witness(tg, start_key, g_sub.directed_pairs, configured_budget(budget))
+    if witness is not None:
+        return witness
 
     # No output ever changes on the subgraph; some degree claim is frozen wrong.
     agent = next(v for v in range(g_sub.n) if base_outputs[v] != g_sub.degree(v))
@@ -388,113 +376,61 @@ class GreedyDegreeState(NamedTuple):
     seen: int  # bitmask of partner labels accumulated so far
 
 
-class GreedyDegreeProtocol:
-    """Monotone neighbor-label accumulation with fixed labels.
-
-    Each agent keeps a permanent label and grows a set of partner labels;
-    its degree claim is the set size.  Works only if labels happen to be a
-    2-hop coloring and, crucially, bakes the pair count into its fixed point,
-    which is what the impossibility search exploits.
-    """
-
-    name = "greedydegree"
-
-    @staticmethod
-    def validate_params(params) -> None:
-        if params.n < 2:
-            raise DomainViolation("need n >= 2")
-
-    @staticmethod
-    def state_count(params) -> int:
-        return params.n * (1 << params.n)
-
-    @staticmethod
-    def state_to_index(s: GreedyDegreeState, params) -> int:
-        return (s.label << params.n) | s.seen
-
-    @staticmethod
-    def state_from_index(i: int, params) -> GreedyDegreeState:
-        return GreedyDegreeState(label=i >> params.n, seen=i & ((1 << params.n) - 1))
-
-    @staticmethod
-    def random_state(rng, params) -> GreedyDegreeState:
-        return GreedyDegreeState(
-            label=int(rng.integers(0, params.n)),
-            seen=int(rng.integers(0, 1 << params.n)),
-        )
-
-    @staticmethod
-    def validate_state(s: GreedyDegreeState, params) -> None:
-        if not (0 <= s.label < params.n and 0 <= s.seen < (1 << params.n)):
-            raise DomainViolation(f"bad strawman state {s}")
-
-    @staticmethod
-    def step(s0: GreedyDegreeState, s1: GreedyDegreeState, params):
-        return (
-            GreedyDegreeState(s0.label, s0.seen | (1 << s1.label)),
-            GreedyDegreeState(s1.label, s1.seen | (1 << s0.label)),
-        )
-
-    step_fast = step
-
-    @staticmethod
-    def output(s: GreedyDegreeState) -> int:
-        return s.seen.bit_count()
-
-    @staticmethod
-    def to_json(s: GreedyDegreeState) -> dict:
-        return {"label": s.label, "seen": sorted(bits(s.seen))}
+def _need_two_agents(params) -> None:
+    if params.n < 2:
+        raise DomainViolation("need n >= 2")
 
 
-class FixedOutputProtocol:
-    """Interaction-blind strawman: states never change, output = state.
-
-    Degree-correct final configurations exist whenever the needed claims fit
-    in 0..n, but no interaction can ever repair them on a different graph.
-    """
-
-    name = "fixedoutput"
-
-    @staticmethod
-    def validate_params(params) -> None:
-        if params.n < 2:
-            raise DomainViolation("need n >= 2")
-
-    @staticmethod
-    def state_count(params) -> int:
-        return params.n + 1  # a degree claim in 0..n
-
-    @staticmethod
-    def state_to_index(s: int, params) -> int:
-        return s
-
-    @staticmethod
-    def state_from_index(i: int, params) -> int:
-        return i
-
-    @staticmethod
-    def random_state(rng, params) -> int:
-        return int(rng.integers(0, params.n + 1))
-
-    @staticmethod
-    def validate_state(s: int, params) -> None:
-        if not 0 <= s <= params.n:
-            raise DomainViolation(f"bad fixed-output state {s}")
-
-    @staticmethod
-    def step(s0: int, s1: int, params):
-        return (s0, s1)
-
-    step_fast = step
-
-    @staticmethod
-    def output(s: int) -> int:
-        return s
-
-    @staticmethod
-    def to_json(s: int) -> dict:
-        return {"claim": s}
+def _validate_greedy(s: GreedyDegreeState, params) -> None:
+    if not (0 <= s.label < params.n and 0 <= s.seen < (1 << params.n)):
+        raise DomainViolation(f"bad strawman state {s}")
 
 
-GREEDY_DEGREE = GreedyDegreeProtocol()
-FIXED_OUTPUT = FixedOutputProtocol()
+def _greedy_step(s0: GreedyDegreeState, s1: GreedyDegreeState, params):
+    return (
+        GreedyDegreeState(s0.label, s0.seen | (1 << s1.label)),
+        GreedyDegreeState(s1.label, s1.seen | (1 << s0.label)),
+    )
+
+
+def _validate_claim(s: int, params) -> None:
+    if not 0 <= s <= params.n:
+        raise DomainViolation(f"bad fixed-output state {s}")
+
+
+# Monotone neighbor-label accumulation with fixed labels.  Each agent keeps a
+# permanent label and grows a set of partner labels; its degree claim is the
+# set size.  Works only if labels happen to be a 2-hop coloring and,
+# crucially, bakes the pair count into its fixed point, which is what the
+# impossibility search exploits.
+GREEDY_DEGREE = Protocol(
+    name="greedydegree",
+    validate_params=_need_two_agents,
+    validate_state=_validate_greedy,
+    state_count=lambda params: params.n * (1 << params.n),
+    state_to_index=lambda s, params: (s.label << params.n) | s.seen,
+    state_from_index=lambda i, params: GreedyDegreeState(i >> params.n, i & ((1 << params.n) - 1)),
+    random_state=lambda rng, params: GreedyDegreeState(
+        int(rng.integers(0, params.n)), random_mask(rng, params.n)
+    ),
+    step=_greedy_step,
+    output=lambda s: s.seen.bit_count(),
+    to_json=lambda s: {"label": s.label, "seen": sorted(bits(s.seen))},
+)
+
+# Interaction-blind strawman: states never change, output = state (a degree
+# claim in 0..n).  Degree-correct final configurations exist whenever the
+# needed claims fit in 0..n, but no interaction can ever repair them on a
+# different graph.
+FIXED_OUTPUT = Protocol(
+    name="fixedoutput",
+    validate_params=_need_two_agents,
+    validate_state=_validate_claim,
+    state_count=lambda params: params.n + 1,
+    state_to_index=lambda s, params: s,
+    state_from_index=lambda i, params: i,
+    random_state=lambda rng, params: int(rng.integers(0, params.n + 1)),
+    step=lambda s0, s1, params: (s0, s1),
+    output=lambda s: s,
+    to_json=lambda s: {"claim": s},
+)

@@ -16,9 +16,7 @@ import poplab as pl
 from poplab.engine import ProtocolParams, default_params, mix_seed, run_trial
 from poplab.neighbor import NEIGHBOR, mask_of, pack_state, packed_bit_length, unpack_state
 from poplab.oracles import (
-    SafeLevel,
     check_spec,
-    classify_rank_config,
     empirical_cover_time,
     game_brute_force,
     game_counts,
@@ -26,6 +24,7 @@ from poplab.oracles import (
     neighbor_safe,
     neighbor_safe_predicate,
     rank_safe_predicate,
+    safe_predicate,
 )
 from poplab.ranking import RANKING
 from poplab.verifier import GREEDY_DEGREE, Witness, impossibility_witness, replay_witness
@@ -176,10 +175,7 @@ def test_criterion_07_ranking_exhaustive_verification():
     for kind, n in cases:
         g = pl.generate_graph(kind, n)
         params = ProtocolParams(n=n, tmax=1)
-        verdict = pl.verify_self_stabilizing(
-            RANKING, g, params,
-            lambda states, p=params: classify_rank_config(states, p) is SafeLevel.RANKED,
-        )
+        verdict = pl.verify_self_stabilizing(RANKING, g, params, safe_predicate(RANKING, g, params))
         assert verdict is True, (kind, n, verdict)
     elapsed = time.monotonic() - start
     assert elapsed < 300

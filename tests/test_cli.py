@@ -1,9 +1,10 @@
 import csv
+import hashlib
 import json
 
 import pytest
 
-from poplab.cli import main
+from poplab.cli import PROTOCOLS, main
 from poplab.graph import generate_graph, save_edge_list
 
 pytestmark = pytest.mark.usefixtures("clean_budget_env")
@@ -108,6 +109,46 @@ def test_byte_identical_reruns(capsys):
     assert out_a == out_b
 
 
+# sha256 of the full stdout of each command, recorded before protocols shared
+# one interface: a refactor or fast path that moves a record, a seed stream or
+# a verdict changes a digest.
+GOLDEN_STDOUT_SHA256 = [
+    (("run", "--protocol", "ranking", "--graph", "random_connected:6,8@3",
+      "--trials", "5", "--seed", "7", "--closure-window", "2000"),
+     0, "432a7d3283ab2294e079649da2027f2d37622313edcea49990243e4e8a36b080"),
+    (("run", "--protocol", "neighbor", "--graph", "path:4",
+      "--trials", "5", "--seed", "7", "--closure-window", "2000"),
+     0, "16cecca39a4d3660118f6e5370de788aa6cb113379c6a0fcba5117782eaeb96b"),
+    (("verify", "--protocol", "ranking", "--graph", "complete:2"),
+     0, "5ce2e165a09439d0db054c7891c6e0cd82cca99a8bf0dc751feaba321ddf748a"),
+    (("verify", "--protocol", "greedydegree", "--impossibility", "path:3,complete:3"),
+     3, "f850082b56d9f35b2b8b373cb84989fefcfe0644cd8e8921a4d409cd53df764b"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN_STDOUT_SHA256,
+                         ids=[f"{a[0]}-{a[2]}" for a, _, _ in GOLDEN_STDOUT_SHA256])
+def test_golden_stdout_digests(capsys, argv, exit_code, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("graph", ["path:64", "path:65"])
+def test_run_neighbor_beyond_64_agents(capsys, graph):
+    # Label masks wider than one int64 word are drawn without overflow.
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", "neighbor", "--graph", graph, "--trials", "1",
+        "--max-steps", "1000", "--closure-window", "0",
+    )
+    assert code == 1
+    records = json_lines(out)
+    assert [r.get("record") for r in records] == [None, "summary"]
+    assert records[0]["n"] == int(graph.split(":")[1])
+    assert records[0]["steps_to_safe"] is None
+    assert err == ""
+
+
 def test_csv_matches_json(tmp_path, capsys):
     csv_path = tmp_path / "trials.csv"
     code, out, _ = run_cli(
@@ -184,6 +225,29 @@ def test_verify_impossibility_witness(capsys):
     assert witness["kind"] == "frozen_output"
     assert witness["agent"] in (0, 2)
     assert witness["before"] == 2
+
+
+VERIFY_K2_EXPECTED = {
+    "ranking": (0, "verify", True),
+    "greedydegree": (3, "verify", False),
+    "fixedoutput": (3, "verify", False),
+    "neighbor": (4, "error", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_verify_every_protocol_on_k2(capsys, name):
+    exit_code, kind, verified = VERIFY_K2_EXPECTED[name]
+    code, out, _ = run_cli(capsys, "verify", "--protocol", name, "--graph", "complete:2")
+    assert code == exit_code
+    (record,) = json_lines(out)
+    assert record["record"] == kind
+    if kind == "error":
+        assert record["error"] == "TooLarge"
+        return
+    assert record["protocol"] == name
+    assert record["verified"] is verified
+    assert ("witness" in record) is (not verified)
 
 
 def test_verify_needs_graph_or_impossibility(capsys):

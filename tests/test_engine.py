@@ -4,6 +4,7 @@ from scipy import stats
 
 from poplab.engine import (
     InteractionTrace,
+    Protocol,
     ProtocolParams,
     TokenTracker,
     apply_interaction,
@@ -21,35 +22,19 @@ from poplab.oracles import rank_safe_predicate
 from poplab.ranking import BLUE, RANKING, RED, RankState
 
 
-class IdentityProtocol:
-    """Transition returns its inputs; output is the whole state."""
-
-    name = "identity"
-
-    @staticmethod
-    def validate_params(params):
-        pass
-
-    @staticmethod
-    def validate_state(s, params):
-        pass
-
-    @staticmethod
-    def random_state(rng, params):
-        return int(rng.integers(0, 10))
-
-    @staticmethod
-    def step(s0, s1, params):
-        return (s0, s1)
-
-    step_fast = step
-
-    @staticmethod
-    def output(s):
-        return s
-
-
-IDENTITY = IdentityProtocol()
+# Transition returns its inputs; output is the whole state.
+IDENTITY = Protocol(
+    name="identity",
+    validate_params=lambda params: None,
+    validate_state=lambda s, params: None,
+    state_count=lambda params: 10,
+    state_to_index=lambda s, params: s,
+    state_from_index=lambda i, params: i,
+    random_state=lambda rng, params: int(rng.integers(0, 10)),
+    step=lambda s0, s1, params: (s0, s1),
+    output=lambda s: s,
+    to_json=lambda s: {"value": s},
+)
 
 
 def ranked_k2_config():

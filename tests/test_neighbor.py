@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from poplab import neighbor
-from poplab.engine import ProtocolParams, default_params, run_trial, sample_uniform_config
+from poplab.engine import (
+    ProtocolParams,
+    checked_step,
+    default_params,
+    run_trial,
+    sample_uniform_config,
+)
 from poplab.errors import DomainViolation, MissingKnowledge
 from poplab.graph import generate_graph
 from poplab.neighbor import (
@@ -17,6 +23,7 @@ from poplab.neighbor import (
     mask_of,
     pack_state,
     packed_bit_length,
+    random_mask,
     step,
     to_json,
     unpack_state,
@@ -90,7 +97,7 @@ def test_step_requires_m_knowledge():
     params = ProtocolParams(n=2, tmax=3)
     s = NeighborState(RankState(0, 1, RED, BLUE, 2), 1, 0, 0, 3, 0, 0)
     with pytest.raises(MissingKnowledge):
-        step(s, s, params)
+        checked_step(NEIGHBOR, s, s, params)
     with pytest.raises(MissingKnowledge):
         NEIGHBOR.validate_params(params)
 
@@ -99,7 +106,7 @@ def test_step_rejects_domain_violations():
     s = NeighborState(RankState(0, 1, RED, BLUE, 2), 1, 0, 0, 3, 0, 0)
     bad = s._replace(dsum=99)
     with pytest.raises(DomainViolation):
-        step(bad, s, P2)
+        checked_step(NEIGHBOR, bad, s, P2)
 
 
 def neighbor_case(draw):
@@ -221,7 +228,7 @@ def test_fake_label_triggers_reset_and_reconvergence():
         while steps < budget and not pred(c):
             for idx in sched.integers(0, len(pairs), size=4096).tolist():
                 u, v = pairs[idx]
-                c[u], c[v] = neighbor._step(c[u], c[v], params)
+                c[u], c[v] = neighbor.step(c[u], c[v], params)
                 steps += 1
                 if c[u].resetE == params.emax or c[v].resetE == params.emax:
                     emitted = True
@@ -320,3 +327,14 @@ def test_packed_state_is_linear_in_n():
             packed = pack_state(s, params)
             assert packed.bit_length() <= width
             assert unpack_state(packed, params) == s
+
+
+def test_random_mask_matches_int64_draw_below_64_bits():
+    for n in (1, 2, 7, 31, 63):
+        for seed in range(3):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert random_mask(a, n) == int(b.integers(0, 1 << n))
+            assert a.integers(0, 100) == b.integers(0, 100)  # same stream position
+    rng = np.random.default_rng(0)
+    assert all(0 <= random_mask(rng, n) < (1 << n) for n in (64, 65, 128, 200))
+    assert any(random_mask(rng, 65) >> 64 for _ in range(20))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poplab.engine import ProtocolParams, apply_interaction
+from poplab.engine import ProtocolParams, apply_interaction, checked_step
 from poplab.errors import DomainViolation
 from poplab.graph import generate_graph
 from poplab.oracles import SafeLevel, classify_rank_config
@@ -42,9 +42,9 @@ def test_step_flip_trace():
 
 def test_step_rejects_domain_violation():
     with pytest.raises(DomainViolation):
-        step(RankState(0, 5, RED, BLUE, 0), RankState(1, 0, RED, RED, 0), P2_3)
+        checked_step(RANKING, RankState(0, 5, RED, BLUE, 0), RankState(1, 0, RED, RED, 0), P2_3)
     with pytest.raises(DomainViolation):
-        step(RankState(0, 1, RED, BLUE, 9), RankState(1, 0, RED, RED, 0), P2_3)
+        checked_step(RANKING, RankState(0, 1, RED, BLUE, 9), RankState(1, 0, RED, RED, 0), P2_3)
 
 
 def test_output_is_label():

@@ -1,12 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
-from poplab.engine import ProtocolParams, default_params
+from poplab.engine import Protocol, ProtocolParams, default_params
 from poplab.errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
 from poplab.graph import generate_graph
 from poplab.neighbor import NEIGHBOR
-from poplab.oracles import SafeLevel, check_spec, classify_rank_config
+from poplab.oracles import SafeLevel, check_spec, classify_rank_config, safe_predicate
 from poplab.ranking import RANKING
 from poplab.verifier import (
     FIXED_OUTPUT,
@@ -21,14 +22,6 @@ from poplab.verifier import (
     verify_self_stabilizing,
     verify_transition_graph,
 )
-
-
-def rank_safe(params):
-    return lambda states: classify_rank_config(states, params) is SafeLevel.RANKED
-
-
-def degree_safe(protocol, g):
-    return lambda states: check_spec("degree", [protocol.output(s) for s in states], g)
 
 
 # --- transition graphs -------------------------------------------------------
@@ -147,7 +140,7 @@ def test_greedy_degree_final_sets_are_absorbing_singletons():
 def test_ranking_self_stabilizing_k2():
     g = generate_graph("complete", 2)
     params = ProtocolParams(n=2, tmax=1)
-    assert verify_self_stabilizing(RANKING, g, params, rank_safe(params)) is True
+    assert verify_self_stabilizing(RANKING, g, params, safe_predicate(RANKING, g, params)) is True
 
 
 @pytest.mark.parametrize("kind", ["complete", "path"])
@@ -157,81 +150,68 @@ def test_ranking_self_stabilizing_n3_full_enumeration(kind, tmax):
     # they cover every connected population with n <= 3 and tmax <= 2.
     g = generate_graph(kind, 3)
     params = ProtocolParams(n=3, tmax=tmax)
-    assert verify_self_stabilizing(RANKING, g, params, rank_safe(params)) is True
+    assert verify_self_stabilizing(RANKING, g, params, safe_predicate(RANKING, g, params)) is True
 
 
 def test_ranking_self_stabilizing_k2_tmax2():
     g = generate_graph("complete", 2)
     params = ProtocolParams(n=2, tmax=2)
-    assert verify_self_stabilizing(RANKING, g, params, rank_safe(params)) is True
+    assert verify_self_stabilizing(RANKING, g, params, safe_predicate(RANKING, g, params)) is True
 
 
 def test_greedy_degree_fails_verification_with_witness():
     g = generate_graph("path", 3)
     params = ProtocolParams(n=3, tmax=1)
-    verdict = verify_self_stabilizing(GREEDY_DEGREE, g, params, degree_safe(GREEDY_DEGREE, g))
+    verdict = verify_self_stabilizing(GREEDY_DEGREE, g, params, safe_predicate(GREEDY_DEGREE, g, params))
     assert isinstance(verdict, Witness)
     assert verdict.kind == "unsafe_final"
     outputs = [GREEDY_DEGREE.output(s) for s in verdict.start]
     assert not check_spec("degree", outputs, g)
+    assert verdict.to_json(GREEDY_DEGREE) == {
+        "kind": "unsafe_final",
+        "start": [{"label": 0, "seen": [0]}] * 3,
+        "pairs": [],
+        "agent": None,
+        "before": [1, 1, 1],
+        "after": [1, 1, 1],
+    }
 
 
-class OscillatorProtocol:
-    """Deliberately unstable toy: both parties toggle a bit; output = bit."""
+def _validate_bit(s, params):
+    if s not in (0, 1):
+        raise DomainViolation(str(s))
 
-    name = "oscillator"
 
-    @staticmethod
-    def validate_params(params):
-        pass
-
-    @staticmethod
-    def validate_state(s, params):
-        if s not in (0, 1):
-            raise DomainViolation(str(s))
-
-    @staticmethod
-    def state_count(params):
-        return 2
-
-    @staticmethod
-    def state_to_index(s, params):
-        return s
-
-    @staticmethod
-    def state_from_index(i, params):
-        return i
-
-    @staticmethod
-    def random_state(rng, params):
-        return int(rng.integers(0, 2))
-
-    @staticmethod
-    def step(s0, s1, params):
-        return (1 - s0, 1 - s1)
-
-    step_fast = step
-
-    @staticmethod
-    def output(s):
-        return s
-
-    @staticmethod
-    def to_json(s):
-        return {"bit": s}
+# Deliberately unstable toy: both parties toggle a bit; output = bit.
+OSCILLATOR = Protocol(
+    name="oscillator",
+    validate_params=lambda params: None,
+    validate_state=_validate_bit,
+    state_count=lambda params: 2,
+    state_to_index=lambda s, params: s,
+    state_from_index=lambda i, params: i,
+    random_state=lambda rng, params: int(rng.integers(0, 2)),
+    step=lambda s0, s1, params: (1 - s0, 1 - s1),
+    output=lambda s: s,
+    to_json=lambda s: {"bit": s},
+)
 
 
 def test_output_change_witness_is_replayable():
     g = generate_graph("complete", 2)
     params = ProtocolParams(n=2, tmax=1)
-    verdict = verify_self_stabilizing(OscillatorProtocol(), g, params, lambda states: True)
+    verdict = verify_self_stabilizing(OSCILLATOR, g, params, lambda states: True)
     assert isinstance(verdict, Witness)
     assert verdict.kind == "output_change"
     assert verdict.pairs
-    end = replay_witness(OscillatorProtocol(), verdict, params)
-    assert OscillatorProtocol.output(end[verdict.agent]) == verdict.after
-    assert OscillatorProtocol.output(verdict.start[verdict.agent]) == verdict.before
+    end = replay_witness(OSCILLATOR, verdict, params)
+    assert OSCILLATOR.output(end[verdict.agent]) == verdict.after
+    assert OSCILLATOR.output(verdict.start[verdict.agent]) == verdict.before
     assert verdict.before != verdict.after
+    assert verdict.to_json(OSCILLATOR) == {
+        "kind": "output_change", "start": [{"bit": 0}, {"bit": 0}], "pairs": [[0, 1]],
+        "agent": 0, "before": 0, "after": 1,
+    }
 
 
 # --- impossibility search ------------------------------------------------------
@@ -265,18 +245,10 @@ def test_impossibility_witness_fixed_output():
     assert witness.kind == "frozen_output"
 
 
-class AllZeroProtocol(OscillatorProtocol):
-    name = "allzero"
-
-    @staticmethod
-    def step(s0, s1, params):
-        return (s0, s1)
-
-    step_fast = step
-
-    @staticmethod
-    def output(s):
-        return 0
+# Frozen bits whose every output is 0: no degree claim is ever correct.
+ALL_ZERO = dataclasses.replace(
+    OSCILLATOR, name="allzero", step=lambda s0, s1, params: (s0, s1), output=lambda s: 0
+)
 
 
 def test_impossibility_no_safe_config_on_super():
@@ -284,7 +256,7 @@ def test_impossibility_no_safe_config_on_super():
     k3 = generate_graph("complete", 3)
     params = ProtocolParams(n=3, tmax=1)
     with pytest.raises(NoSafeConfigOnSuper):
-        impossibility_witness(AllZeroProtocol(), p3, k3, params)
+        impossibility_witness(ALL_ZERO, p3, k3, params)
 
 
 def test_impossibility_requires_strict_subgraph():
