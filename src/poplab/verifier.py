@@ -44,11 +44,7 @@ def configured_budget(budget: int | None = None) -> int:
 
 @dataclass
 class TransitionGraph:
-    """Complete successor relation over the packed configuration space.
-
-    ``t0``/``t1`` are the two-agent pair tables on state indices:
-    (i, j) -> the initiator's and the responder's next state index.
-    """
+    """Complete successor relation over the packed configuration space."""
 
     protocol: object
     graph: Graph
@@ -57,8 +53,6 @@ class TransitionGraph:
     config_count: int
     directed_pairs: tuple[tuple[int, int], ...]
     successors: list[np.ndarray]  # one array of length config_count per directed pair
-    t0: np.ndarray
-    t1: np.ndarray
 
     def decode(self, key: int) -> tuple:
         q = self.agent_state_count
@@ -131,8 +125,6 @@ def build_transition_graph(protocol, g: Graph, params, budget: int | None = None
         config_count=count,
         directed_pairs=g.directed_pairs,
         successors=successors,
-        t0=t0,
-        t1=t1,
     )
 
 
@@ -215,29 +207,24 @@ def replay_witness(protocol, witness: Witness, params) -> tuple:
     return tuple(states)
 
 
-def _output_change_witness(tg: TransitionGraph, start_key: int, pairs, budget: int | None = None):
+def _output_change_witness(tg: TransitionGraph, start_key: int, pairs):
     """Nearest output change from ``start_key``, by breadth-first search over ``pairs``.
 
-    Returns an output_change Witness, or None when no reachable configuration
-    changes an output.  Successors come from the pair tables, so ``pairs`` may
-    be those of another graph on the same agents (the impossibility search's
-    subgraph); with a ``budget``, visiting more configurations raises TooLarge.
+    ``pairs`` are directed pairs of ``tg``'s graph, all of them or a subset
+    (the impossibility search's subgraph).  Returns an output_change Witness,
+    or None when no reachable configuration changes an output.
     """
-    q = tg.agent_state_count
-    powers = [q**u for u in range(tg.graph.n)]
+    pair_index = {pair: i for i, pair in enumerate(tg.directed_pairs)}
+    edges = [pair_index[pair] for pair in pairs]
     base_outputs = tg.outputs_of(start_key)
     parent: dict[int, tuple[int, int]] = {start_key: (-1, -1)}
     queue = deque([start_key])
     while queue:
         key = queue.popleft()
-        for e, (u, v) in enumerate(pairs):
-            du = (key // powers[u]) % q
-            dv = (key // powers[v]) % q
-            nxt = key + (int(tg.t0[du, dv]) - du) * powers[u] + (int(tg.t1[du, dv]) - dv) * powers[v]
+        for e, pi in enumerate(edges):
+            nxt = tg.successor(key, pi)
             if nxt in parent:
                 continue
-            if budget is not None and len(parent) >= budget:
-                raise TooLarge(len(parent) + 1, budget)
             parent[nxt] = (key, e)
             outs = tg.outputs_of(nxt)
             if outs != base_outputs:
@@ -349,7 +336,7 @@ def impossibility_witness(
         )
 
     # Explore the subgraph's reachable space from the supergraph-safe start.
-    witness = _output_change_witness(tg, start_key, g_sub.directed_pairs, configured_budget(budget))
+    witness = _output_change_witness(tg, start_key, g_sub.directed_pairs)
     if witness is not None:
         return witness
 

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,13 +25,15 @@ from poplab.neighbor import (
     pack_state,
     packed_bit_length,
     random_mask,
-    step,
     to_json,
     unpack_state,
 )
 from poplab.oracles import neighbor_safe, neighbor_safe_predicate
-from poplab.ranking import BLUE, RED, WHITE, RankState
-from poplab.ranking import step as rank_step
+from poplab.ranking import BLUE, RANKING, RED, WHITE, RankState
+
+# The checked path: every step in these tests validates both endpoint states first.
+step = partial(checked_step, NEIGHBOR)
+rank_step = partial(checked_step, RANKING)
 
 P2 = ProtocolParams(n=2, m_known=1, tmax=3, pmax=4, emax=2)
 

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,10 @@ from poplab.engine import ProtocolParams, apply_interaction, checked_step
 from poplab.errors import DomainViolation
 from poplab.graph import generate_graph
 from poplab.oracles import SafeLevel, classify_rank_config
-from poplab.ranking import BLUE, RANKING, RED, WHITE, RankState, from_json, step, to_json
+from poplab.ranking import BLUE, RANKING, RED, WHITE, RankState, from_json, to_json
+
+# The checked path: every step in these tests validates both endpoint states first.
+step = partial(checked_step, RANKING)
 
 P2_3 = ProtocolParams(n=2, tmax=3)
 
