@@ -1,0 +1,214 @@
+/* The inner loop of engine.run_until for the ranking and neighbor protocols.
+ *
+ * poplab_advance applies the scheduled pairs of one block of pair indices to
+ * the configuration in place and stops at the first step after which the
+ * stop condition holds: in the convergence phase the safe predicate (RANKED
+ * for ranking, neighbor_safe for neighbor), in the closure phase a change of
+ * either endpoint's output.  It returns the number of pairs consumed and sets
+ * *hit when it stopped on the condition.  The Python modules ranking.step,
+ * neighbor.step, oracles.classify_rank_config and oracles.neighbor_safe are
+ * the reference; this file mirrors them line for line and engine.run_until
+ * confirms its verdicts with the Python predicate.
+ *
+ * A configuration is n rows of uint64 fields (RANK_FIELDS for ranking,
+ * NEIGHBOR_FIELDS for neighbor) in the order of RankState, then the
+ * NeighborState fields after the rank part; label sets are bitmasks, so
+ * n <= 64.  cfg holds n, the protocol, tmax, pmax, emax, m_known and the
+ * graph's m.
+ */
+
+#include <stdint.h>
+
+enum { IDA, IDT, COLORA, COLORT, TIMERT, DEGREET, DSUM, RESETE, TIMERP, NEIGHBORS, COUNTED };
+enum { RANK_FIELDS = 5, NEIGHBOR_FIELDS = 11 };
+enum { WHITE = 0, RED = 1, BLUE = 2 };
+enum { CFG_N, CFG_NEIGHBOR, CFG_TMAX, CFG_PMAX, CFG_EMAX, CFG_M_KNOWN, CFG_M };
+
+typedef uint64_t u64;
+
+/* The agent side of a ranking step: agent a now hosts the token (idT, cT, tT). */
+static inline void host(u64 *a, u64 idT, u64 cT, u64 tT, u64 n, u64 tmax)
+{
+    u64 idA = a[IDA], cA = a[COLORA];
+    if (idA == idT) {
+        if (cA == WHITE)
+            cA = cT;
+        if (cA != cT) {
+            /* Stale color: some other agent owns this label.  Move on, white. */
+            if (++idA == n)
+                idA = 0;
+            cA = WHITE;
+        } else if (tT == 0) {
+            /* Periodic recoloring: agent and auditor token flip together. */
+            tT = tmax;
+            cA = cT = cA == RED ? BLUE : RED;
+        }
+    }
+    a[IDA] = idA;
+    a[IDT] = idT;
+    a[COLORA] = cA;
+    a[COLORT] = cT;
+    a[TIMERT] = tT;
+}
+
+/* ranking.step on the rank parts of a0 (initiator) and a1 (responder). */
+static inline void rank_step(u64 *a0, u64 *a1, u64 n, u64 tmax)
+{
+    u64 idT0 = a1[IDT], cT0 = a1[COLORT], tT0 = a1[TIMERT];
+    u64 idT1 = a0[IDT], cT1 = a0[COLORT], tT1 = a0[TIMERT];
+    if (idT0 == idT1 && ++idT1 == n)
+        idT1 = 0;
+    if (tT0 > 0)
+        tT0--;
+    if (tT1 > 0)
+        tT1--;
+    host(a0, idT0, cT0, tT0, n, tmax);
+    host(a1, idT1, cT1, tT1, n, tmax);
+}
+
+/* The neighbor body of one agent after its rank part has stepped: deg is the
+ * payload of the token it now hosts, nb its neighbor set after the signal. */
+static inline void audit(u64 *a, u64 partner_idA, u64 deg, u64 nb, u64 shared,
+                         const int64_t *cfg)
+{
+    u64 cap = 2 * (u64)cfg[CFG_M_KNOWN] + 1;
+    u64 p = a[TIMERP] > 0 ? a[TIMERP] - 1 : 0;
+    u64 dsum = a[DSUM], counted = a[COUNTED];
+    if (p == 0) {
+        dsum = 0;
+        counted = 0;
+        p = (u64)cfg[CFG_PMAX];
+    }
+    nb |= (u64)1 << partner_idA;
+    if (a[IDA] == a[IDT])
+        deg = (u64)__builtin_popcountll(nb);
+    if (!((counted >> a[IDT]) & 1)) {
+        dsum += deg;
+        if (dsum > cap)
+            dsum = cap;
+        counted |= (u64)1 << a[IDT];
+    }
+    a[DEGREET] = deg;
+    a[DSUM] = dsum;
+    a[RESETE] = dsum == cap ? (u64)cfg[CFG_EMAX] : shared;
+    a[TIMERP] = p;
+    a[NEIGHBORS] = nb;
+    a[COUNTED] = counted;
+}
+
+/* neighbor.step: the ranking step, then both agents' neighbor bodies. */
+static inline void neighbor_step(u64 *a0, u64 *a1, const int64_t *cfg)
+{
+    /* The degree payload travels with the physical token. */
+    u64 deg0 = a1[DEGREET], deg1 = a0[DEGREET];
+    u64 shared = a0[RESETE] >= a1[RESETE] ? a0[RESETE] : a1[RESETE];
+    u64 nb0 = a0[NEIGHBORS], nb1 = a1[NEIGHBORS];
+    shared = shared > 0 ? shared - 1 : 0;
+    if (shared > 0)
+        nb0 = nb1 = 0;
+    rank_step(a0, a1, (u64)cfg[CFG_N], (u64)cfg[CFG_TMAX]);
+    audit(a0, a1[IDA], deg0, nb0, shared, cfg);
+    audit(a1, a0[IDA], deg1, nb1, shared, cfg);
+}
+
+/* classify_rank_config(...) is RANKED: token labels distinct, agent labels
+ * distinct, and every agent white or colored like the token of its label. */
+static int ranked(const u64 *s, int64_t n, int64_t stride)
+{
+    u64 tokens = 0, labels = 0;
+    u64 token_color[64];
+    for (int64_t v = 0; v < n; v++) {
+        const u64 *a = s + v * stride;
+        u64 bit = (u64)1 << a[IDT];
+        if (tokens & bit)
+            return 0;
+        tokens |= bit;
+        token_color[a[IDT]] = a[COLORT];
+    }
+    for (int64_t v = 0; v < n; v++) {
+        const u64 *a = s + v * stride;
+        u64 bit = (u64)1 << a[IDA];
+        if (labels & bit)
+            return 0;
+        labels |= bit;
+        if (a[COLORA] != WHITE && a[COLORA] != token_color[a[IDA]])
+            return 0;
+    }
+    return 1;
+}
+
+/* oracles.neighbor_safe over the CSR adjacency (adj_start[v]..adj_start[v+1]). */
+static int neighbor_safe(const u64 *s, const int64_t *cfg, const int64_t *adj_start,
+                         const int64_t *adj)
+{
+    int64_t n = cfg[CFG_N];
+    if (!ranked(s, n, NEIGHBOR_FIELDS))
+        return 0;
+    u64 label_degree[64];
+    int64_t token_host[64];
+    for (int64_t v = 0; v < n; v++) {
+        const u64 *a = s + v * NEIGHBOR_FIELDS;
+        label_degree[a[IDA]] = (u64)(adj_start[v + 1] - adj_start[v]);
+        token_host[a[IDT]] = v;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        const u64 *a = s + v * NEIGHBOR_FIELDS;
+        if (a[RESETE] != 0)
+            return 0;
+        u64 mask = 0;
+        for (int64_t i = adj_start[v]; i < adj_start[v + 1]; i++)
+            mask |= (u64)1 << s[adj[i] * NEIGHBOR_FIELDS + IDA];
+        if (a[NEIGHBORS] != mask)
+            return 0;
+    }
+    for (int64_t x = 0; x < n; x++)
+        if (s[token_host[x] * NEIGHBOR_FIELDS + DEGREET] > label_degree[x])
+            return 0;
+    u64 cap = 2 * (u64)cfg[CFG_M];
+    for (int64_t v = 0; v < n; v++) {
+        const u64 *a = s + v * NEIGHBOR_FIELDS;
+        u64 bound = 0;
+        for (u64 c = a[COUNTED]; c; c &= c - 1)
+            bound += label_degree[__builtin_ctzll(c)];
+        if (a[DSUM] > (bound < cap ? bound : cap))
+            return 0;
+    }
+    return 1;
+}
+
+int64_t poplab_advance(const int64_t *cfg, const int64_t *pairs, const int64_t *adj_start,
+                       const int64_t *adj, u64 *states, const int64_t *block, int64_t len,
+                       int64_t closure, int64_t *hit)
+{
+    int64_t n = cfg[CFG_N];
+    int neighbor = cfg[CFG_NEIGHBOR] != 0;
+    int64_t stride = neighbor ? NEIGHBOR_FIELDS : RANK_FIELDS;
+    u64 tmax = (u64)cfg[CFG_TMAX];
+    *hit = 1;
+    for (int64_t i = 0; i < len; i++) {
+        u64 *a0 = states + pairs[2 * block[i]] * stride;
+        u64 *a1 = states + pairs[2 * block[i] + 1] * stride;
+        if (closure) {
+            u64 o0 = a0[IDA], o1 = a1[IDA];
+            u64 nb0 = neighbor ? a0[NEIGHBORS] : 0, nb1 = neighbor ? a1[NEIGHBORS] : 0;
+            if (neighbor)
+                neighbor_step(a0, a1, cfg);
+            else
+                rank_step(a0, a1, (u64)n, tmax);
+            if (a0[IDA] != o0 || a1[IDA] != o1)
+                return i + 1;
+            if (neighbor && (a0[NEIGHBORS] != nb0 || a1[NEIGHBORS] != nb1))
+                return i + 1;
+        } else if (neighbor) {
+            neighbor_step(a0, a1, cfg);
+            if (neighbor_safe(states, cfg, adj_start, adj))
+                return i + 1;
+        } else {
+            rank_step(a0, a1, (u64)n, tmax);
+            if (ranked(states, n, RANK_FIELDS))
+                return i + 1;
+        }
+    }
+    *hit = 0;
+    return len;
+}

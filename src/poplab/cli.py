@@ -161,9 +161,11 @@ def cmd_sweep(args) -> int:
     all_ok = True
     try:
         for cell, (kind, n) in enumerate((k, n) for k in kinds for n in ns):
-            label = f"{kind}:{n}"
+            # random_connected cells draw m = min(2n, n(n-1)/2) pairs.
+            m = min(2 * n, n * (n - 1) // 2) if kind == "random_connected" else None
+            label = f"{kind}:{n}" if m is None else f"{kind}:{n},{m}"
             try:
-                g = graphs.generate_graph(kind, n, seed=master_seed)
+                g = graphs.generate_graph(kind, n, m, seed=master_seed)
             except (ValueError, Infeasible) as exc:
                 raise SpecError(f"sweep cell {label}: {exc}") from exc
             cell_seed = engine.mix_seed(master_seed, 1_000_000 + cell)
@@ -187,6 +189,8 @@ def cmd_verify(args) -> int:
         params = engine.ProtocolParams(n=g_sub.n, tmax=max(1, args.tmax or 1))
         try:
             witness = verifier.impossibility_witness(protocol, g_sub, g_super, params, args.budget)
+        except ValueError as exc:  # not a strict subgraph on one agent set
+            raise SpecError(f"--impossibility {args.impossibility}: {exc}") from exc
         except TooLarge as exc:
             _emit({"record": "error", "error": "TooLarge", "detail": str(exc)})
             return EXIT_TOO_LARGE
@@ -322,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="cartesian product of graph kinds and sizes")
     add_common(sweep)
     add_run_options(sweep)
-    sweep.add_argument("--kinds", required=True, help="comma-separated generator kinds")
+    sweep.add_argument("--kinds", required=True,
+                       help="comma-separated generator kinds; random_connected cells "
+                            "use m = min(2n, n(n-1)/2)")
     sweep.add_argument("--ns", required=True, help="comma-separated agent counts")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -10,6 +10,23 @@ uniformly from the 2m directed pairs of the population.  Runs are fully
 determined by (protocol, graph, initial configuration, params, seed); trial
 seeds are split from a master seed with a documented mixing function so
 sweeps stay reproducible and embarrassingly parallel.
+
+``run_until`` draws the schedule in blocks of ``_BLOCK`` pair indices and
+hands each block to one of two step loops, which report how many pairs they
+consumed before the stop condition (safety, or an output change in the
+closure window), so the seed stream, the record, ``final_states`` and the
+trace do not depend on the loop.  ``_compiled_loop`` is the one dispatch
+rule: the compiled loop (``_loop.c``, built on first use; see
+``_compiled``) runs only when the protocol is ``RANKING`` or ``NEIGHBOR``,
+the predicate carries the ``safe_for`` mark that ``oracles.rank_safe_predicate``
+and ``oracles.neighbor_safe_predicate`` attach, built for this graph and n,
+n <= 64 with every param inside its C field, and the library loaded.
+Everything else (custom or wrapped predicates, proxies, n >= 65, no C
+compiler) runs the Python loop, which is the reference.  On the compiled
+path the Python predicate confirms what C claims: it must reject the
+configuration where an unconverged run stopped, and accept the one at
+``steps_to_safe`` and the final one (the safe set is closed); a
+disagreement raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -198,6 +215,94 @@ def sample_uniform_config(protocol, params, seed) -> tuple:
     return tuple(protocol.random_state(rng, params) for _ in range(params.n))
 
 
+class _PythonLoop:
+    """The reference step loop: ``protocol.step`` and the predicate, in Python.
+
+    ``converge(block)`` steps through a block of pair indices until the safe
+    predicate holds, ``closure(block)`` until an output differs from the one
+    the agent had when the closure window began; both return (pairs
+    consumed, stopped on the condition).  ``states()`` is the configuration.
+    """
+
+    def __init__(self, protocol, pairs, c0, params, safe_predicate):
+        self._protocol = protocol
+        self._pairs = pairs
+        self._states = list(c0)
+        self._params = params
+        self._safe = safe_predicate
+        self._outputs = None
+
+    def converge(self, block: np.ndarray) -> tuple[int, bool]:
+        pairs, states, params, step, safe = (
+            self._pairs, self._states, self._params, self._protocol.step, self._safe)
+        done = 0
+        for idx in block.tolist():
+            u, v = pairs[idx]
+            t0, t1 = step(states[u], states[v], params)
+            states[u] = t0
+            states[v] = t1
+            done += 1
+            if safe(states):
+                return done, True
+        return done, False
+
+    def closure(self, block: np.ndarray) -> tuple[int, bool]:
+        pairs, states, params, step, output = (
+            self._pairs, self._states, self._params, self._protocol.step, self._protocol.output)
+        if self._outputs is None:
+            self._outputs = [output(s) for s in states]
+        outputs = self._outputs
+        done = 0
+        for idx in block.tolist():
+            u, v = pairs[idx]
+            t0, t1 = step(states[u], states[v], params)
+            states[u] = t0
+            states[v] = t1
+            done += 1
+            if output(t0) != outputs[u] or output(t1) != outputs[v]:
+                return done, True
+        return done, False
+
+    def states(self) -> list:
+        return self._states
+
+
+def _compiled_loop(protocol, g: Graph, params, c0, safe_predicate):
+    """The one dispatch rule: the compiled loop for this run, or None for the Python loop.
+
+    Compiled only when the protocol is ``RANKING`` or ``NEIGHBOR``, the
+    predicate carries the ``safe_for`` mark of that protocol's oracle factory
+    built for this graph and n, n <= 64 with every param inside its C field,
+    and the library loaded.
+    """
+    safe_for = getattr(safe_predicate, "safe_for", None)
+    if safe_for is None:
+        return None
+    from . import _compiled  # only runs that may use the library import it
+
+    name, pred_g, pred_params = safe_for
+    if (
+        protocol is not _compiled.PROTOCOLS.get(name)
+        or pred_params.n != params.n
+        or (pred_g is not None and pred_g != g)
+        or not _compiled.fits(protocol, params)
+    ):
+        return None
+    advance = _compiled.library()
+    if advance is None:
+        return None
+    return _compiled.CompiledLoop(advance, protocol, g, params, c0)
+
+
+def _confirm(safe_predicate, states, safe: bool, step: int) -> None:
+    """The Python predicate must give the compiled loop's verdict on its configuration."""
+    if bool(safe_predicate(states)) != safe:
+        raise RuntimeError(
+            f"compiled loop and safe predicate disagree at step {step}: "
+            f"the loop found the configuration {'safe' if safe else 'unsafe'}"
+        )
+
+
 def run_until(
     protocol,
     g: Graph,
@@ -217,7 +322,8 @@ def run_until(
     within ``max_steps`` is data (steps_to_safe=None), not an error.
 
     ``c0`` is validated once up front; every step then calls the protocol's
-    unchecked ``step``, whose results stay in the declared domain.
+    unchecked ``step`` (or its compiled copy, see the module docstring),
+    whose results stay in the declared domain.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -230,46 +336,40 @@ def run_until(
     rng = np.random.default_rng(seed)
     pairs = g.directed_pairs
     npairs = len(pairs)
-    step = protocol.step
-    states = list(c0)
+    loop = _compiled_loop(protocol, g, params, c0, safe_predicate)
+    compiled = loop is not None
+    if loop is None:
+        loop = _PythonLoop(protocol, pairs, c0, params, safe_predicate)
     trace = [] if record_trace else None
 
     steps = 0
-    steps_to_safe = 0 if safe_predicate(states) else None
+    steps_to_safe = 0 if safe_predicate(list(c0)) else None
     while steps_to_safe is None and steps < max_steps:
-        block = rng.integers(0, npairs, size=min(_BLOCK, max_steps - steps)).tolist()
-        for idx in block:
-            u, v = pairs[idx]
-            t0, t1 = step(states[u], states[v], params)
-            states[u] = t0
-            states[v] = t1
-            steps += 1
-            if trace is not None:
-                trace.append((u, v))
-            if safe_predicate(states):
-                steps_to_safe = steps
-                break
+        block = rng.integers(0, npairs, size=min(_BLOCK, max_steps - steps))
+        done, safe = loop.converge(block)
+        steps += done
+        if trace is not None:
+            trace.extend(pairs[i] for i in block[:done].tolist())
+        if safe:
+            steps_to_safe = steps
+    if compiled and steps:
+        _confirm(safe_predicate, loop.states(), steps_to_safe is not None, steps)
 
     closure_ok = None
-    if steps_to_safe is not None and closure_window > 0:
+    window = 0
+    if steps_to_safe is not None:
         closure_ok = True
-        outputs = [protocol.output(s) for s in states]
-        done = 0
-        while done < closure_window and closure_ok:
-            block = rng.integers(0, npairs, size=min(_BLOCK, closure_window - done)).tolist()
-            for idx in block:
-                u, v = pairs[idx]
-                t0, t1 = step(states[u], states[v], params)
-                states[u] = t0
-                states[v] = t1
-                done += 1
-                if trace is not None:
-                    trace.append((u, v))
-                if protocol.output(t0) != outputs[u] or protocol.output(t1) != outputs[v]:
-                    closure_ok = False
-                    break
-    elif steps_to_safe is not None:
-        closure_ok = True
+        while window < closure_window and closure_ok:
+            block = rng.integers(0, npairs, size=min(_BLOCK, closure_window - window))
+            done, changed = loop.closure(block)
+            window += done
+            if trace is not None:
+                trace.extend(pairs[i] for i in block[:done].tolist())
+            closure_ok = not changed
+    states = loop.states()
+    if compiled and window:
+        # The safe set is closed under steps, so the final configuration is safe too.
+        _confirm(safe_predicate, states, True, steps + window)
 
     return RunResult(
         protocol=protocol.name,

@@ -63,11 +63,17 @@ def classify_rank_config(states: Sequence, params) -> SafeLevel:
 
 
 def rank_safe_predicate(params):
-    """Safe predicate: the configuration is fully ranked."""
+    """Safe predicate: the configuration is fully ranked.
+
+    The predicate carries the mark ``safe_for = ("ranking", None, params)``,
+    which lets ``engine.run_until`` run the compiled loop's copy of it (and
+    confirm that copy's verdicts with this one); a wrapper drops the mark.
+    """
 
     def pred(states) -> bool:
         return classify_rank_config(states, params) is SafeLevel.RANKED
 
+    pred.safe_for = ("ranking", None, params)
     return pred
 
 
@@ -144,11 +150,15 @@ def neighbor_safe(states: Sequence, g: Graph, params) -> bool:
 
 
 def neighbor_safe_predicate(g: Graph, params):
-    """neighbor_safe as an engine predicate."""
+    """neighbor_safe as an engine predicate, marked ``safe_for = ("neighbor", g, params)``.
+
+    The mark plays the same part as in ``rank_safe_predicate``.
+    """
 
     def pred(states) -> bool:
         return neighbor_safe(states, g, params)
 
+    pred.safe_for = ("neighbor", g, params)
     return pred
 
 

@@ -207,22 +207,20 @@ def replay_witness(protocol, witness: Witness, params) -> tuple:
     return tuple(states)
 
 
-def _output_change_witness(tg: TransitionGraph, start_key: int, pairs):
-    """Nearest output change from ``start_key``, by breadth-first search over ``pairs``.
+def _output_change_witness(tg: TransitionGraph, start_key: int):
+    """Nearest output change from ``start_key``, by breadth-first search over ``tg``'s pairs.
 
-    ``pairs`` are directed pairs of ``tg``'s graph, all of them or a subset
-    (the impossibility search's subgraph).  Returns an output_change Witness,
-    or None when no reachable configuration changes an output.
+    Returns an output_change Witness, or None when no reachable configuration
+    changes an output.
     """
-    pair_index = {pair: i for i, pair in enumerate(tg.directed_pairs)}
-    edges = [pair_index[pair] for pair in pairs]
+    pairs = tg.directed_pairs
     base_outputs = tg.outputs_of(start_key)
     parent: dict[int, tuple[int, int]] = {start_key: (-1, -1)}
     queue = deque([start_key])
     while queue:
         key = queue.popleft()
-        for e, pi in enumerate(edges):
-            nxt = tg.successor(key, pi)
+        for e in range(len(pairs)):
+            nxt = tg.successor(key, e)
             if nxt in parent:
                 continue
             parent[nxt] = (key, e)
@@ -276,7 +274,7 @@ def verify_transition_graph(tg: TransitionGraph, fsets, safe_predicate: Callable
         ref_outputs = tg.outputs_of(ref_key)
         for key in fset:
             if tg.outputs_of(key) != ref_outputs:
-                return _output_change_witness(tg, ref_key, tg.directed_pairs)
+                return _output_change_witness(tg, ref_key)
         for key in fset:
             states = tg.decode(key)
             if not safe_predicate(states):
@@ -301,14 +299,20 @@ def impossibility_witness(
     """Witness that a degree-claiming protocol cannot serve two pair counts.
 
     Finds a configuration that is final and degree-correct on ``g_super``
-    (raising NoSafeConfigOnSuper when none exists), then breadth-first
-    explores ``g_sub``'s interactions from it.  Any reachable output change
-    contradicts safety on the supergraph (the same sequence is schedulable
-    there); if no outputs ever change, some agent is stuck claiming its
-    supergraph degree, which is wrong on the subgraph.  Either way the
-    protocol fails on one of the two populations.
+    (raising NoSafeConfigOnSuper when none exists) and returns it as a
+    ``frozen_output`` witness naming an agent whose claim is wrong on
+    ``g_sub``.  No search over ``g_sub``'s interactions is needed: the start
+    lies in a final set of the supergraph whose outputs were just found
+    constant, that set is closed under every supergraph pair and so under
+    the subgraph's pairs (a subset), and hence no configuration the subgraph
+    can reach from the start changes an output.  The outputs stay the
+    supergraph degrees, and ``g_sub`` has strictly fewer edges, so some
+    agent's frozen claim is wrong there: the protocol fails on one of the two
+    populations.
 
-    ``protocol.output`` is read as the agent's claimed degree.
+    ``protocol.output`` is read as the agent's claimed degree.  Raises
+    ValueError unless both graphs share the agent set and ``g_sub``'s edges
+    are a strict subset of ``g_super``'s.
     """
     if g_sub.n != g_super.n:
         raise ValueError("both populations must share the agent set")
@@ -335,12 +339,6 @@ def impossibility_witness(
             "no final configuration with constant, degree-correct outputs on the supergraph"
         )
 
-    # Explore the subgraph's reachable space from the supergraph-safe start.
-    witness = _output_change_witness(tg, start_key, g_sub.directed_pairs)
-    if witness is not None:
-        return witness
-
-    # No output ever changes on the subgraph; some degree claim is frozen wrong.
     agent = next(v for v in range(g_sub.n) if base_outputs[v] != g_sub.degree(v))
     return Witness(
         kind="frozen_output",

@@ -181,6 +181,20 @@ def test_sweep_cartesian(capsys):
     assert len(trials) == 8
 
 
+def test_sweep_random_connected_cells(capsys):
+    # random_connected cells take m = min(2n, n(n-1)/2) pairs: 6 at n = 4, 12 at n = 6.
+    code, out, _ = run_cli(
+        capsys, "sweep", "--protocol", "ranking", "--kinds", "random_connected",
+        "--ns", "4,6", "--trials", "2", "--seed", "1", "--closure-window", "500",
+    )
+    assert code == 0
+    records = json_lines(out)
+    summaries = [r for r in records if r.get("record") == "summary"]
+    assert [s["graph"] for s in summaries] == ["random_connected:4,6", "random_connected:6,12"]
+    trials = [r for r in records if "steps_to_safe" in r]
+    assert [(r["n"], r["m"]) for r in trials] == [(4, 6), (4, 6), (6, 12), (6, 12)]
+
+
 def test_verify_ranking_k2(capsys):
     code, out, _ = run_cli(capsys, "verify", "--protocol", "ranking",
                            "--graph", "complete:2", "--seed", "0")
@@ -225,6 +239,16 @@ def test_verify_impossibility_witness(capsys):
     assert witness["kind"] == "frozen_output"
     assert witness["agent"] in (0, 2)
     assert witness["before"] == 2
+
+
+@pytest.mark.parametrize("graphs", ["path:2,complete:2", "path:2,complete:3"])
+def test_verify_impossibility_bad_graph_pair_exits_2(capsys, graphs):
+    # Not a strict edge subset, and two different agent sets.
+    code, out, err = run_cli(capsys, "verify", "--protocol", "greedydegree",
+                             "--impossibility", graphs)
+    assert code == 2
+    assert out == ""
+    assert graphs in err
 
 
 VERIFY_K2_EXPECTED = {

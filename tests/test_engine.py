@@ -1,7 +1,11 @@
+import dataclasses
+import shutil
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from poplab import _compiled, engine
 from poplab.engine import (
     InteractionTrace,
     Protocol,
@@ -18,7 +22,8 @@ from poplab.engine import (
 )
 from poplab.errors import DomainViolation, NotAnEdge
 from poplab.graph import generate_graph
-from poplab.oracles import rank_safe_predicate
+from poplab.neighbor import NEIGHBOR, NeighborState, mask_of
+from poplab.oracles import neighbor_safe, rank_safe_predicate, safe_predicate
 from poplab.ranking import BLUE, RANKING, RED, RankState
 
 
@@ -255,3 +260,152 @@ def test_recorded_trace_replays_to_final_configuration():
     for pair in res.trace.pairs:
         replayed = apply_interaction(RANKING, g, replayed, pair, params)
     assert replayed == res.final_states
+
+
+# ---------------------------------------------------------------------------
+# The compiled loop against the Python loop.  A marked predicate from the
+# oracle factories takes the compiled path; the same predicate wrapped in a
+# lambda loses the mark and takes the Python path.
+# ---------------------------------------------------------------------------
+
+KINDS = ("cycle", "complete", "path", "star", "random_connected")
+
+
+@pytest.fixture
+def compiled():
+    if _compiled.library() is None:
+        pytest.skip("no C compiler: the compiled loop is not built")
+
+
+def test_compiled_loop_loads_when_a_compiler_exists():
+    # Without this a broken _loop.c would fall back silently, and the
+    # differential tests below would compare the Python loop with itself.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    _compiled.load()  # raises OSError with the compiler's message
+    assert _compiled.library() is not None
+
+
+def always_safe(protocol, g, params):
+    """A marked predicate that holds everywhere: the run goes straight to its
+    closure window from any start, so outputs do change there."""
+
+    def pred(states):
+        return True
+
+    pred.safe_for = (protocol.name, g, params)
+    return pred
+
+
+def assert_same_run(protocol, g, params, seed, max_steps, closure_window, pred):
+    c0 = sample_uniform_config(protocol, params, seed)
+    assert engine._compiled_loop(protocol, g, params, c0, pred) is not None
+    runs = [
+        run_until(protocol, g, c0, params, seed, max_steps, p,
+                  closure_window=closure_window, record_trace=True)
+        for p in (pred, lambda states: pred(states))
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0].final_states == runs[1].final_states
+    assert runs[0].trace == runs[1].trace
+    return runs[0]
+
+
+def differential_case(protocol, i):
+    """Seed i's graph, params, step cap and closure window, drawn from i."""
+    rng = np.random.default_rng(i)
+    kind = KINDS[i % len(KINDS)]
+    n = int(rng.integers(3, 7))
+    m = int(rng.integers(n - 1, n * (n - 1) // 2 + 1)) if kind == "random_connected" else None
+    g = generate_graph(kind, n, m, seed=i)
+    know_m = protocol is NEIGHBOR
+    tmax = int(rng.integers(1, 4)) if rng.random() < 0.5 else None
+    ceilings = {}
+    if know_m and rng.random() < 0.5:
+        ceilings = {"pmax": int(rng.integers(1, 60)), "emax": int(rng.integers(1, 20))}
+    params = default_params(g, know_m=know_m, tmax=tmax, **ceilings)
+    max_steps = int(rng.integers(1, 2 * engine._BLOCK + 100))  # often cut mid-block
+    closure_window = int(rng.integers(1, 3000)) if rng.random() < 0.7 else 0
+    return g, params, max_steps, closure_window
+
+
+@pytest.mark.parametrize("protocol", [RANKING, NEIGHBOR], ids=["ranking", "neighbor"])
+def test_compiled_loop_matches_python_loop(compiled, protocol):
+    # 500 seeds over five graph families, random timer ceilings, step caps
+    # and closure windows; every fourth seed runs its closure window from
+    # the uniform start, where outputs change.
+    outcomes = set()
+    for i in range(500):
+        g, params, max_steps, closure_window = differential_case(protocol, i)
+        if i % 4 == 3:
+            pred = always_safe(protocol, g, params)
+        else:
+            pred = safe_predicate(protocol, g, params)
+        res = assert_same_run(protocol, g, params, i, max_steps, closure_window, pred)
+        outcomes.add((res.steps_to_safe is None, res.closure_ok))
+    assert outcomes == {(True, None), (False, True), (False, False)}
+
+
+def safe_neighbor_config(g, params):
+    """Labels and tokens equal to agent ids, exact neighbor sets, nothing counted."""
+    return tuple(
+        NeighborState(RankState(v, v, RED, RED, params.tmax), g.degree(v), 0, 0,
+                      params.pmax, mask_of(g.adjacency[v]), 0)
+        for v in range(g.n)
+    )
+
+
+@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("kind", ["path", "star", "random_connected"])
+def test_compiled_neighbor_loop_at_mask_bit_63(compiled, kind, n):
+    g = generate_graph(kind, n, 2 * n if kind == "random_connected" else None, seed=n)
+    params = default_params(g, know_m=True)
+    pred = safe_predicate(NEIGHBOR, g, params)
+    # From a uniform start (masks reach bit n - 1), cut before convergence.
+    res = assert_same_run(NEIGHBOR, g, params, n, 3000, 100, pred)
+    assert res.steps_to_safe is None
+    assert_same_run(NEIGHBOR, g, params, n, 1, 2000, always_safe(NEIGHBOR, g, params))
+    # From a safe configuration, through a closure window.
+    c0 = safe_neighbor_config(g, params)
+    assert neighbor_safe(c0, g, params)
+    runs = [run_until(NEIGHBOR, g, c0, params, 7, 10, p, closure_window=3000, record_trace=True)
+            for p in (pred, lambda states: pred(states))]
+    assert runs[0] == runs[1] and runs[0].steps_to_safe == 0 and runs[0].closure_ok
+    assert runs[0].final_states == runs[1].final_states
+    assert runs[0].trace == runs[1].trace
+
+
+def test_dispatch_takes_the_python_loop_unless_every_condition_holds(compiled):
+    g = generate_graph("cycle", 5)
+    params = default_params(g, know_m=True)
+    c0 = sample_uniform_config(NEIGHBOR, params, 0)
+    pred = safe_predicate(NEIGHBOR, g, params)
+    assert engine._compiled_loop(NEIGHBOR, g, params, c0, pred) is not None
+    assert engine._compiled_loop(NEIGHBOR, g, params, c0, lambda states: pred(states)) is None
+    other = safe_predicate(NEIGHBOR, generate_graph("path", 5), params)
+    assert engine._compiled_loop(NEIGHBOR, g, params, c0, other) is None
+    proxy = dataclasses.replace(NEIGHBOR)  # same functions, not the NEIGHBOR record
+    assert engine._compiled_loop(proxy, g, params, c0, pred) is None
+    huge = dataclasses.replace(params, pmax=1 << 62)
+    assert engine._compiled_loop(NEIGHBOR, g, huge, c0, safe_predicate(NEIGHBOR, g, huge)) is None
+    rank_params = default_params(g)
+    rank_c0 = sample_uniform_config(RANKING, rank_params, 0)
+    assert engine._compiled_loop(RANKING, g, rank_params, rank_c0, pred) is None
+    g65 = generate_graph("path", 65)
+    params65 = default_params(g65)
+    c65 = sample_uniform_config(RANKING, params65, 0)
+    assert engine._compiled_loop(RANKING, g65, params65, c65, rank_safe_predicate(params65)) is None
+
+
+def test_python_predicate_confirms_the_compiled_verdict(compiled):
+    # A marked predicate that disagrees with the compiled copy of RANKED makes
+    # the run raise instead of returning the compiled loop's claim.
+    g = generate_graph("complete", 4)
+    params = default_params(g)
+
+    def never(states):
+        return False
+
+    never.safe_for = ("ranking", None, params)
+    with pytest.raises(RuntimeError, match="disagree"):
+        run_trial(RANKING, g, params, 3, max_steps=10**6, safe_predicate=never, closure_window=0)
