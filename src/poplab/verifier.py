@@ -211,7 +211,8 @@ def _output_change_witness(tg: TransitionGraph, start_key: int):
     """Nearest output change from ``start_key``, by breadth-first search over ``tg``'s pairs.
 
     Returns an output_change Witness, or None when no reachable configuration
-    changes an output.
+    changes an output (never for its caller, whose final set is strongly
+    connected and holds a configuration with other outputs).
     """
     pairs = tg.directed_pairs
     base_outputs = tg.outputs_of(start_key)
