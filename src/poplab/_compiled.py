@@ -23,11 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .neighbor import NEIGHBOR, NeighborState
-from .ranking import RANKING, RankState
+from . import neighbor, ranking
 
 SOURCE = Path(__file__).with_name("_loop.c")
-PROTOCOLS = {"ranking": RANKING, "neighbor": NEIGHBOR}  # the protocols _loop.c steps
+PROTOCOLS = {"ranking": ranking.RANKING, "neighbor": neighbor.NEIGHBOR}  # what _loop.c steps
 MAX_AGENTS = 64  # label sets are uint64 masks
 MAX_PARAM = 1 << 62  # keeps 2*m_known + 1 and every timer inside an int64
 
@@ -88,21 +87,23 @@ class CompiledLoop:
 
     Same interface as ``engine``'s Python loop: ``converge(block)`` and
     ``closure(block)`` return (pairs consumed, stopped on the condition), and
-    ``states()`` the configuration as the protocol's NamedTuples.
+    ``states()`` the configuration as the protocol's NamedTuples.  A row of
+    C memory is one agent's ``flatten``ed state, in its module's field order.
     """
 
     def __init__(self, advance, protocol, g, params, states):
-        self._neighbor = protocol.name == "neighbor"
+        is_neighbor = protocol is neighbor.NEIGHBOR
+        module = neighbor if is_neighbor else ranking
+        self._unflatten = module.unflatten
         self._advance = advance
-        rows = [(*s.rank, *s[1:]) for s in states] if self._neighbor else states
         # The arrays stay referenced by self for as long as C reads them.
         self._cfg = np.array(
-            [g.n, self._neighbor, params.tmax, params.pmax or 0, params.emax or 0,
-             params.m_known or 0, g.m], dtype=np.int64)
+            [g.n, is_neighbor, params.tmax, params.pmax or 0,
+             params.emax or 0, params.m_known or 0], dtype=np.int64)
         self._pairs = np.array(g.directed_pairs, dtype=np.int64).reshape(-1)
         self._adj_start = np.cumsum([0] + [len(a) for a in g.adjacency], dtype=np.int64)
         self._adj = np.array([u for a in g.adjacency for u in a], dtype=np.int64)
-        self._states = np.array(rows, dtype=np.uint64)
+        self._states = np.array([module.flatten(s) for s in states], dtype=np.uint64)
         self._hit = np.zeros(1, dtype=np.int64)
         self._args = tuple(a.ctypes.data for a in (
             self._cfg, self._pairs, self._adj_start, self._adj, self._states))
@@ -121,7 +122,4 @@ class CompiledLoop:
         return self._run(block, 1)
 
     def states(self) -> list:
-        rows = self._states.tolist()
-        if self._neighbor:
-            return [NeighborState(RankState(*r[:5]), *r[5:]) for r in rows]
-        return [RankState(*r) for r in rows]
+        return [self._unflatten(row) for row in self._states.tolist()]

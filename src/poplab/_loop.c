@@ -10,11 +10,11 @@
  * the reference; this file mirrors them line for line and engine.run_until
  * confirms its verdicts with the Python predicate.
  *
- * A configuration is n rows of uint64 fields (RANK_FIELDS for ranking,
- * NEIGHBOR_FIELDS for neighbor) in the order of RankState, then the
- * NeighborState fields after the rank part; label sets are bitmasks, so
- * n <= 64.  cfg holds n, the protocol, tmax, pmax, emax, m_known and the
- * graph's m.
+ * A configuration is n rows of uint64 fields, one row per agent in the order
+ * of the protocol's declared field table (ranking.FIELDS, RANK_FIELDS wide,
+ * or neighbor.FIELDS, NEIGHBOR_FIELDS wide, which starts with the rank
+ * fields), as the module's flatten gives them; label sets are bitmasks, so
+ * n <= 64.  cfg holds n, the protocol, tmax, pmax, emax and m_known.
  */
 
 #include <stdint.h>
@@ -22,7 +22,7 @@
 enum { IDA, IDT, COLORA, COLORT, TIMERT, DEGREET, DSUM, RESETE, TIMERP, NEIGHBORS, COUNTED };
 enum { RANK_FIELDS = 5, NEIGHBOR_FIELDS = 11 };
 enum { WHITE = 0, RED = 1, BLUE = 2 };
-enum { CFG_N, CFG_NEIGHBOR, CFG_TMAX, CFG_PMAX, CFG_EMAX, CFG_M_KNOWN, CFG_M };
+enum { CFG_N, CFG_NEIGHBOR, CFG_TMAX, CFG_PMAX, CFG_EMAX, CFG_M_KNOWN };
 
 typedef uint64_t u64;
 
@@ -164,13 +164,12 @@ static int neighbor_safe(const u64 *s, const int64_t *cfg, const int64_t *adj_st
     for (int64_t x = 0; x < n; x++)
         if (s[token_host[x] * NEIGHBOR_FIELDS + DEGREET] > label_degree[x])
             return 0;
-    u64 cap = 2 * (u64)cfg[CFG_M];
     for (int64_t v = 0; v < n; v++) {
         const u64 *a = s + v * NEIGHBOR_FIELDS;
         u64 bound = 0;
         for (u64 c = a[COUNTED]; c; c &= c - 1)
             bound += label_degree[__builtin_ctzll(c)];
-        if (a[DSUM] > (bound < cap ? bound : cap))
+        if (a[DSUM] > bound)
             return 0;
     }
     return 1;

@@ -67,6 +67,19 @@ def parse_graph_spec(spec: str, seed: int) -> graphs.Graph:
         raise SpecError(f"bad graph spec {spec!r}: {exc}") from exc
 
 
+def _int_at_least(lowest: int):
+    """An argparse type: an integer no smaller than ``lowest``, else exit 2 with a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message names the type
+    return parse
+
+
 def _emit(record: dict, csv_writer=None) -> None:
     print(json.dumps(record, sort_keys=True))
     if csv_writer is not None:
@@ -186,7 +199,7 @@ def cmd_verify(args) -> int:
             raise SpecError("--impossibility needs two comma-separated graph specs")
         g_sub = parse_graph_spec(sub_spec, seed)
         g_super = parse_graph_spec(super_spec, seed)
-        params = engine.ProtocolParams(n=g_sub.n, tmax=max(1, args.tmax or 1))
+        params = engine.ProtocolParams(n=g_sub.n, tmax=1 if args.tmax is None else args.tmax)
         try:
             witness = verifier.impossibility_witness(protocol, g_sub, g_super, params, args.budget)
         except ValueError as exc:  # not a strict subgraph on one agent set
@@ -206,7 +219,7 @@ def cmd_verify(args) -> int:
     if protocol.name == "neighbor":
         params = engine.default_params(g, know_m=True, tmax=args.tmax)
     else:
-        params = engine.ProtocolParams(n=g.n, tmax=args.tmax or 1)
+        params = engine.ProtocolParams(n=g.n, tmax=1 if args.tmax is None else args.tmax)
     try:
         tg = verifier.build_transition_graph(protocol, g, params, args.budget)
     except TooLarge as exc:
@@ -301,15 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+        p.add_argument("--seed", type=_int_at_least(0), default=None, help="master seed (default 0)")
         p.add_argument("--strict", action="store_true", help="fail instead of defaulting the seed")
 
     def add_run_options(p):
         p.add_argument("--protocol", choices=("ranking", "neighbor"), required=True)
-        p.add_argument("--trials", type=int, default=10)
-        p.add_argument("--max-steps", type=int, default=100_000_000, dest="max_steps")
-        p.add_argument("--closure-window", type=int, default=engine.DEFAULT_CLOSURE_WINDOW,
-                       dest="closure_window")
+        p.add_argument("--trials", type=_int_at_least(1), default=10)
+        p.add_argument("--max-steps", type=_int_at_least(1), default=100_000_000, dest="max_steps")
+        p.add_argument("--closure-window", type=_int_at_least(0),
+                       default=engine.DEFAULT_CLOSURE_WINDOW, dest="closure_window")
         p.add_argument("--tmax", type=int, default=None)
         p.add_argument("--pmax", type=int, default=None)
         p.add_argument("--emax", type=int, default=None)
@@ -348,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(walk)
     walk.add_argument("--graph", required=True)
     walk.add_argument("--mode", choices=("hit", "meet", "cover", "drift"), required=True)
-    walk.add_argument("--trials", type=int, default=500)
-    walk.add_argument("--k", type=int, default=1, help="move count for drift mode")
+    walk.add_argument("--trials", type=_int_at_least(1), default=500)
+    walk.add_argument("--k", type=_int_at_least(1), default=1, help="move count for drift mode")
     walk.set_defaults(func=cmd_walk)
 
     game = sub.add_parser("game", help="stable states of the collision game")

@@ -1,8 +1,11 @@
-"""Execution engine: the protocol interface, the scheduler, trials, token tracking.
+"""Execution engine: the protocol interface, the state codec, the scheduler, trials, token tracking.
 
 Every protocol is one ``Protocol`` record of functions whose ``step`` is
 unchecked; ``checked_step`` is the single place that validates both endpoint
 states before stepping.  The engine reaches a protocol by attribute only.
+Each protocol declares its state's fields once, and ``state_codec`` derives
+the record's state functions (validation, count, index, uniform draw) from
+that table.
 
 A configuration is a plain tuple of per-agent states (agent id = index).
 One step = one interaction: a directed pair (initiator, responder) drawn
@@ -34,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .graph import Graph
 
 DEFAULT_CLOSURE_WINDOW = 100_000
 _BLOCK = 8192
+_INT64_BOUND = 1 << 63  # the largest size rng.integers(0, size) takes
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,94 @@ def checked_step(protocol, s0, s1, params) -> tuple:
     protocol.validate_state(s0, params)
     protocol.validate_state(s1, params)
     return protocol.step(s0, s1, params)
+
+
+class Field(NamedTuple):
+    """One field of a per-agent state: the values lo..lo+size(params)-1."""
+
+    name: str
+    lo: int
+    size: Callable[[Any], int]
+
+
+def random_below(rng: np.random.Generator, size: int) -> int:
+    """One uniform draw from 0..size-1, for any size >= 1.
+
+    Up to 2^63 this is ``rng.integers(0, size)``.  Above, where that int64
+    bound overflows, it draws ``(size - 1).bit_length()`` bits as uint64
+    words, lowest word first, and draws again while the value is not below
+    ``size``; for a power of two that never happens.
+    """
+    if size <= _INT64_BOUND:
+        return int(rng.integers(0, size))
+    width = (size - 1).bit_length()
+    while True:
+        value = 0
+        for shift in range(0, width, 64):
+            word = rng.integers(0, 1 << min(64, width - shift), dtype=np.uint64)
+            value |= int(word) << shift
+        if value < size:
+            return value
+
+
+def state_codec(fields: Sequence[Field], flatten, unflatten, validate_params) -> dict:
+    """The five state functions of a ``Protocol``, from its ordered field table.
+
+    ``flatten(s)`` gives a state's field values in table order and
+    ``unflatten(values)`` rebuilds the state from them.  ``validate_state``
+    raises DomainViolation naming the first field outside lo..lo+size-1.
+    The state index is mixed radix over the offsets value - lo, first field
+    most significant, so ``state_count`` is the product of the sizes and the
+    index of a state never needs more bits than its fields' binary widths
+    together.  ``random_state`` draws the fields in table order, one
+    ``random_below`` each.  Every function validates params first: the sizes
+    come from ``validate_params`` and then the table, computed again only
+    when a call passes another params object than the call before (params
+    are frozen), so a run that reuses its params pays for them once.
+    """
+    names = tuple(f.name for f in fields)
+    los = tuple(f.lo for f in fields)
+    latest = [(None, ())]  # (params, sizes) of the latest call, read and replaced whole
+
+    def sizes(params) -> tuple[int, ...]:
+        seen, radices = latest[0]
+        if seen is not params:
+            validate_params(params)
+            radices = tuple(f.size(params) for f in fields)
+            latest[0] = (params, radices)
+        return radices
+
+    def validate_state(s, params) -> None:
+        for name, lo, size, value in zip(names, los, sizes(params), flatten(s), strict=True):
+            if not lo <= value < lo + size:
+                raise DomainViolation(f"{name} out of {lo}..{lo + size - 1} in {s}")
+
+    def state_count(params) -> int:
+        return math.prod(sizes(params))
+
+    def state_to_index(s, params) -> int:
+        i = 0
+        for lo, size, value in zip(los, sizes(params), flatten(s)):
+            i = i * size + (value - lo)
+        return i
+
+    def state_from_index(i: int, params):
+        digits = []
+        for size in reversed(sizes(params)):
+            i, digit = divmod(i, size)
+            digits.append(digit)
+        return unflatten([lo + digit for lo, digit in zip(los, reversed(digits))])
+
+    def random_state(rng, params):
+        return unflatten([lo + random_below(rng, size) for lo, size in zip(los, sizes(params))])
+
+    return {
+        "validate_state": validate_state,
+        "state_count": state_count,
+        "state_to_index": state_to_index,
+        "state_from_index": state_from_index,
+        "random_state": random_state,
+    }
 
 
 @dataclass(frozen=True)

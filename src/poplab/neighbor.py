@@ -12,11 +12,13 @@ a fake label.  The detecting agent raises ``resetE`` to its ceiling; the
 signal floods the population by max-minus-one propagation and every signaled
 agent clears its neighbor set, after which the accumulation restarts clean.
 
-Neighbor and counted sets are stored as bitmasks over labels 0..n-1, which
-also realizes the O(n)-bits-per-agent memory claim (see ``packed_bit_length``).
+Neighbor and counted sets are stored as bitmasks over labels 0..n-1, so the
+state index of ``FIELDS`` realizes the O(n)-bits-per-agent memory claim: the
+two sets take 2n bits of it and every other field a logarithmic number.
 
 The module's functions make up ``NEIGHBOR``, the protocol's one
-``engine.Protocol`` record; ``step`` is unchecked (validate states with
+``engine.Protocol`` record, whose state functions ``engine.state_codec``
+derives from ``FIELDS``; ``step`` is unchecked (validate states with
 ``engine.checked_step``).
 """
 
@@ -24,11 +26,9 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from . import ranking
-from .engine import Protocol
-from .errors import DomainViolation, MissingKnowledge
+from .engine import Field, Protocol, state_codec
+from .errors import MissingKnowledge
 from .ranking import RankState
 
 
@@ -59,41 +59,10 @@ def mask_of(labels) -> int:
     return out
 
 
-def random_mask(rng, n: int) -> int:
-    """Uniform n-bit mask, drawn as words of at most 64 bits, lowest word first.
-
-    For n <= 63 the one uint64 draw returns the value of, and advances the
-    generator exactly as, ``rng.integers(0, 1 << n)``, whose int64 bound
-    overflows from n = 64 on; each further 64 bits take one more word.
-    """
-    out = 0
-    for shift in range(0, n, 64):
-        width = min(64, n - shift)
-        out |= int(rng.integers(0, 1 << width, dtype=np.uint64)) << shift
-    return out
-
-
 def validate_params(params) -> None:
     ranking.validate_params(params)
     if params.m_known is None:
         raise MissingKnowledge("neighbor recognition requires exact knowledge of m")
-
-
-def validate_state(s: NeighborState, params) -> None:
-    if params.m_known is None:
-        raise MissingKnowledge("neighbor recognition requires exact knowledge of m")
-    ranking.validate_state(s.rank, params)
-    n, m = params.n, params.m_known
-    if not (0 <= s.degreeT <= n):
-        raise DomainViolation(f"degreeT out of 0..{n} in {s}")
-    if not (0 <= s.dsum <= 2 * m + 1):
-        raise DomainViolation(f"dsum out of 0..{2 * m + 1} in {s}")
-    if not (0 <= s.resetE <= params.emax):
-        raise DomainViolation(f"resetE out of 0..{params.emax} in {s}")
-    if not (0 <= s.timerP <= params.pmax):
-        raise DomainViolation(f"timerP out of 0..{params.pmax} in {s}")
-    if not (0 <= s.neighbors < (1 << n) and 0 <= s.counted < (1 << n)):
-        raise DomainViolation(f"label set out of range in {s}")
 
 
 def step(a0: NeighborState, a1: NeighborState, params) -> tuple[NeighborState, NeighborState]:
@@ -197,132 +166,31 @@ def from_json(obj: dict) -> NeighborState:
     )
 
 
-def _field_widths(params) -> tuple[tuple[str, int], ...]:
-    n, m = params.n, params.m_known
-    return (
-        ("idA", (n - 1).bit_length()),
-        ("idT", (n - 1).bit_length()),
-        ("colorA", 2),
-        ("colorT", 1),
-        ("timerT", params.tmax.bit_length()),
-        ("degreeT", n.bit_length()),
-        ("dsum", (2 * m + 1).bit_length()),
-        ("resetE", params.emax.bit_length()),
-        ("timerP", params.pmax.bit_length()),
-        ("neighbors", n),
-        ("counted", n),
-    )
+FIELDS = ranking.FIELDS + (
+    Field("degreeT", 0, lambda params: params.n + 1),
+    Field("dsum", 0, lambda params: 2 * params.m_known + 2),
+    Field("resetE", 0, lambda params: params.emax + 1),
+    Field("timerP", 0, lambda params: params.pmax + 1),
+    Field("neighbors", 0, lambda params: 1 << params.n),
+    Field("counted", 0, lambda params: 1 << params.n),
+)
+"""The state's fields in index order: the rank part's, then the rest as declared."""
+_RANK_FIELDS = len(ranking.FIELDS)
 
 
-def packed_bit_length(params) -> int:
-    """Bits of one agent's packed state: 2n for the label sets plus O(log) rest."""
-    if params.m_known is None:
-        raise MissingKnowledge("neighbor recognition requires exact knowledge of m")
-    return sum(width for _, width in _field_widths(params))
+def flatten(s: NeighborState) -> tuple:
+    """The field values in FIELDS order."""
+    return (*s.rank, *s[1:])
 
 
-def pack_state(s: NeighborState, params) -> int:
-    """Pack a state into packed_bit_length(params) bits (field order as declared)."""
-    validate_state(s, params)
-    values = {
-        "idA": s.rank.idA,
-        "idT": s.rank.idT,
-        "colorA": s.rank.colorA,
-        "colorT": s.rank.colorT - ranking.RED,
-        "timerT": s.rank.timerT,
-        "degreeT": s.degreeT,
-        "dsum": s.dsum,
-        "resetE": s.resetE,
-        "timerP": s.timerP,
-        "neighbors": s.neighbors,
-        "counted": s.counted,
-    }
-    out = 0
-    for name, width in _field_widths(params):
-        out = (out << width) | values[name]
-    return out
-
-
-def unpack_state(packed: int, params) -> NeighborState:
-    values = {}
-    for name, width in reversed(_field_widths(params)):
-        values[name] = packed & ((1 << width) - 1)
-        packed >>= width
-    return NeighborState(
-        rank=RankState(
-            values["idA"], values["idT"], values["colorA"],
-            values["colorT"] + ranking.RED, values["timerT"],
-        ),
-        degreeT=values["degreeT"],
-        dsum=values["dsum"],
-        resetE=values["resetE"],
-        timerP=values["timerP"],
-        neighbors=values["neighbors"],
-        counted=values["counted"],
-    )
-
-
-def state_count(params) -> int:
-    validate_params(params)
-    n, m = params.n, params.m_known
-    return (
-        ranking.state_count(params)
-        * (n + 1) * (2 * m + 2) * (params.emax + 1) * (params.pmax + 1)
-        * (1 << n) * (1 << n)
-    )
-
-
-def state_to_index(s: NeighborState, params) -> int:
-    """The ranking index extended by (degreeT, dsum, resetE, timerP, neighbors, counted)."""
-    n, m = params.n, params.m_known
-    i = ranking.state_to_index(s.rank, params)
-    i = i * (n + 1) + s.degreeT
-    i = i * (2 * m + 2) + s.dsum
-    i = i * (params.emax + 1) + s.resetE
-    i = i * (params.pmax + 1) + s.timerP
-    i = (i << n) | s.neighbors
-    return (i << n) | s.counted
-
-
-def state_from_index(i: int, params) -> NeighborState:
-    n, m = params.n, params.m_known
-    counted = i & ((1 << n) - 1)
-    i >>= n
-    neighbors = i & ((1 << n) - 1)
-    i >>= n
-    i, timerP = divmod(i, params.pmax + 1)
-    i, resetE = divmod(i, params.emax + 1)
-    i, dsum = divmod(i, 2 * m + 2)
-    rank_index, degreeT = divmod(i, n + 1)
-    return NeighborState(
-        rank=ranking.state_from_index(rank_index, params),
-        degreeT=degreeT, dsum=dsum, resetE=resetE, timerP=timerP,
-        neighbors=neighbors, counted=counted,
-    )
-
-
-def random_state(rng, params) -> NeighborState:
-    validate_params(params)
-    n, m = params.n, params.m_known
-    return NeighborState(
-        rank=ranking.random_state(rng, params),
-        degreeT=int(rng.integers(0, n + 1)),
-        dsum=int(rng.integers(0, 2 * m + 2)),
-        resetE=int(rng.integers(0, params.emax + 1)),
-        timerP=int(rng.integers(0, params.pmax + 1)),
-        neighbors=random_mask(rng, n),
-        counted=random_mask(rng, n),
-    )
+def unflatten(values) -> NeighborState:
+    return NeighborState(RankState._make(values[:_RANK_FIELDS]), *values[_RANK_FIELDS:])
 
 
 NEIGHBOR = Protocol(
     name="neighbor",
     validate_params=validate_params,
-    validate_state=validate_state,
-    state_count=state_count,
-    state_to_index=state_to_index,
-    state_from_index=state_from_index,
-    random_state=random_state,
+    **state_codec(FIELDS, flatten, unflatten, validate_params),
     step=step,
     output=output,
     to_json=to_json,

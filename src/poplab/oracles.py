@@ -119,11 +119,14 @@ def neighbor_safe(states: Sequence, g: Graph, params) -> bool:
     True iff the embedded ranking part is RANKED, every agent's neighbor set
     equals the labels of its true neighbors, no error signal is live, every
     token's degree payload is at most the degree of its home agent, and every
-    agent's audited sum is covered by the degrees of the labels it counted
-    (hence can never reach 2m+1).  The set of configurations satisfying this
-    predicate is closed under interactions and implies the neighbor spec.
+    agent's audited sum is covered by the degrees of the labels it counted.
+    That bound needs no cap at 2m: the ranking part is RANKED, so the counted
+    labels belong to distinct agents and their degrees sum to at most 2m, and
+    an audited sum inside it never reaches 2m+1.  The set of configurations
+    satisfying this predicate is closed under interactions and implies the
+    neighbor spec.
     """
-    n, m = g.n, g.m
+    n = g.n
     ranks = [s.rank for s in states]
     if classify_rank_config(ranks, params) is not SafeLevel.RANKED:
         return False
@@ -141,10 +144,9 @@ def neighbor_safe(states: Sequence, g: Graph, params) -> bool:
     for x in range(n):
         if states[token_host[x]].degreeT > label_degree[x]:
             return False
-    cap = 2 * m
     for s in states:
         bound = sum(label_degree[x] for x in bits(s.counted))
-        if s.dsum > (bound if bound < cap else cap):
+        if s.dsum > bound:
             return False
     return True
 

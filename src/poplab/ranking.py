@@ -19,15 +19,16 @@ mechanisms drive the system to distinct labels 0..n-1:
 tiny ``tmax``, just slower, which the model checker exploits.
 
 The module's functions make up ``RANKING``, the protocol's one
-``engine.Protocol`` record; ``step`` is unchecked (validate states with
-``engine.checked_step``).
+``engine.Protocol`` record, whose state functions ``engine.state_codec``
+derives from the field table ``FIELDS``; ``step`` is unchecked (validate
+states with ``engine.checked_step``).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .engine import Protocol
+from .engine import Field, Protocol, state_codec
 from .errors import DomainViolation
 
 WHITE, RED, BLUE = 0, 1, 2
@@ -46,18 +47,6 @@ class RankState(NamedTuple):
 def validate_params(params) -> None:
     if params.n < 2 or params.tmax < 1:
         raise DomainViolation(f"need n >= 2 and tmax >= 1, got {params}")
-
-
-def validate_state(s: RankState, params) -> None:
-    n, tmax = params.n, params.tmax
-    if not (0 <= s.idA < n and 0 <= s.idT < n):
-        raise DomainViolation(f"label out of range in {s}")
-    if s.colorA not in (WHITE, RED, BLUE):
-        raise DomainViolation(f"bad agent color in {s}")
-    if s.colorT not in (RED, BLUE):
-        raise DomainViolation(f"bad token color in {s}")
-    if not (0 <= s.timerT <= tmax):
-        raise DomainViolation(f"token timer out of 0..{tmax} in {s}")
 
 
 def step(a0: RankState, a1: RankState, params) -> tuple[RankState, RankState]:
@@ -145,45 +134,24 @@ def from_json(obj: dict) -> RankState:
     )
 
 
-def state_count(params) -> int:
-    return params.n * params.n * 3 * 2 * (params.tmax + 1)
+FIELDS = (
+    Field("idA", 0, lambda params: params.n),
+    Field("idT", 0, lambda params: params.n),
+    Field("colorA", WHITE, lambda params: 3),
+    Field("colorT", RED, lambda params: 2),
+    Field("timerT", 0, lambda params: params.tmax + 1),
+)
+"""The state's fields in index order, idA most significant."""
 
 
-def state_to_index(s: RankState, params) -> int:
-    """Mixed-radix index in the order (idA, idT, colorA, colorT, timerT), idA most significant."""
-    i = s.idA
-    i = i * params.n + s.idT
-    i = i * 3 + s.colorA
-    i = i * 2 + (s.colorT - RED)
-    return i * (params.tmax + 1) + s.timerT
-
-
-def state_from_index(i: int, params) -> RankState:
-    i, timerT = divmod(i, params.tmax + 1)
-    i, colorT = divmod(i, 2)
-    i, colorA = divmod(i, 3)
-    idA, idT = divmod(i, params.n)
-    return RankState(idA, idT, colorA, colorT + RED, timerT)
-
-
-def random_state(rng, params) -> RankState:
-    return RankState(
-        idA=int(rng.integers(0, params.n)),
-        idT=int(rng.integers(0, params.n)),
-        colorA=int(rng.integers(0, 3)),
-        colorT=RED + int(rng.integers(0, 2)),
-        timerT=int(rng.integers(0, params.tmax + 1)),
-    )
+flatten = tuple  # a RankState holds its field values in FIELDS order
+unflatten = RankState._make
 
 
 RANKING = Protocol(
     name="ranking",
     validate_params=validate_params,
-    validate_state=validate_state,
-    state_count=state_count,
-    state_to_index=state_to_index,
-    state_from_index=state_from_index,
-    random_state=random_state,
+    **state_codec(FIELDS, flatten, unflatten, validate_params),
     step=step,
     output=output,
     to_json=to_json,

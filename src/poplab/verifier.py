@@ -9,8 +9,8 @@ witnesses that a degree-claiming protocol cannot be self-stabilizing.
 
 Configurations are packed into integers by mixed radix: agent 0 is the least
 significant digit, each digit being the protocol's per-agent state index.
-The packing is stable across runs (the canonical field orders are documented
-on each protocol's ``state_to_index``).
+The packing is stable across runs (each protocol's field table fixes the
+order of its state index; see ``engine.state_codec``).
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .engine import Protocol, checked_step
+from .engine import Field, Protocol, checked_step, state_codec
 from .errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
 from .graph import Graph
-from .neighbor import bits, random_mask
+from .neighbor import bits
 from .oracles import check_spec
 
 DEFAULT_BUDGET = 10_000_000
@@ -367,21 +367,11 @@ def _need_two_agents(params) -> None:
         raise DomainViolation("need n >= 2")
 
 
-def _validate_greedy(s: GreedyDegreeState, params) -> None:
-    if not (0 <= s.label < params.n and 0 <= s.seen < (1 << params.n)):
-        raise DomainViolation(f"bad strawman state {s}")
-
-
 def _greedy_step(s0: GreedyDegreeState, s1: GreedyDegreeState, params):
     return (
         GreedyDegreeState(s0.label, s0.seen | (1 << s1.label)),
         GreedyDegreeState(s1.label, s1.seen | (1 << s0.label)),
     )
-
-
-def _validate_claim(s: int, params) -> None:
-    if not 0 <= s <= params.n:
-        raise DomainViolation(f"bad fixed-output state {s}")
 
 
 # Monotone neighbor-label accumulation with fixed labels.  Each agent keeps a
@@ -392,12 +382,10 @@ def _validate_claim(s: int, params) -> None:
 GREEDY_DEGREE = Protocol(
     name="greedydegree",
     validate_params=_need_two_agents,
-    validate_state=_validate_greedy,
-    state_count=lambda params: params.n * (1 << params.n),
-    state_to_index=lambda s, params: (s.label << params.n) | s.seen,
-    state_from_index=lambda i, params: GreedyDegreeState(i >> params.n, i & ((1 << params.n) - 1)),
-    random_state=lambda rng, params: GreedyDegreeState(
-        int(rng.integers(0, params.n)), random_mask(rng, params.n)
+    **state_codec(
+        (Field("label", 0, lambda params: params.n),
+         Field("seen", 0, lambda params: 1 << params.n)),
+        lambda s: s, GreedyDegreeState._make, _need_two_agents,
     ),
     step=_greedy_step,
     output=lambda s: s.seen.bit_count(),
@@ -411,11 +399,10 @@ GREEDY_DEGREE = Protocol(
 FIXED_OUTPUT = Protocol(
     name="fixedoutput",
     validate_params=_need_two_agents,
-    validate_state=_validate_claim,
-    state_count=lambda params: params.n + 1,
-    state_to_index=lambda s, params: s,
-    state_from_index=lambda i, params: i,
-    random_state=lambda rng, params: int(rng.integers(0, params.n + 1)),
+    **state_codec(
+        (Field("claim", 0, lambda params: params.n + 1),),
+        lambda s: (s,), lambda values: values[0], _need_two_agents,
+    ),
     step=lambda s0, s1, params: (s0, s1),
     output=lambda s: s,
     to_json=lambda s: {"claim": s},

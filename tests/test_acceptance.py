@@ -14,7 +14,7 @@ import pytest
 
 import poplab as pl
 from poplab.engine import ProtocolParams, default_params, mix_seed, run_trial
-from poplab.neighbor import NEIGHBOR, mask_of, pack_state, packed_bit_length, unpack_state
+from poplab.neighbor import NEIGHBOR, mask_of
 from poplab.oracles import (
     check_spec,
     empirical_cover_time,
@@ -197,7 +197,7 @@ def _neighbor_trial(i: int):
 
 def test_criterion_08_neighbor_randomized_convergence():
     start = time.monotonic()
-    bits_ceiling = 32  # packed state must fit in 32n bits
+    bits_ceiling = 32  # the state index must fit in 32n bits
     for i in range(100):
         g, params, res = _neighbor_trial(i)
         assert res.steps_to_safe is not None, f"trial {i} never satisfied the safe predicate"
@@ -208,11 +208,11 @@ def test_criterion_08_neighbor_randomized_convergence():
         for v, s in enumerate(final):
             assert s.neighbors == mask_of(labels[u] for u in g.adjacency[v])
         assert check_spec("neighbor", [NEIGHBOR.output(s) for s in final], g)
-        width = packed_bit_length(params)
+        width = (NEIGHBOR.state_count(params) - 1).bit_length()
         assert width <= bits_ceiling * g.n, (g.n, width)
-        packed = pack_state(final[0], params)
-        assert packed.bit_length() <= width
-        assert unpack_state(packed, params) == final[0]
+        index = NEIGHBOR.state_to_index(final[0], params)
+        assert index.bit_length() <= width
+        assert NEIGHBOR.state_from_index(index, params) == final[0]
     elapsed = time.monotonic() - start
     assert elapsed < 600
     _report(8, elapsed, 600,

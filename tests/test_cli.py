@@ -149,6 +149,48 @@ def test_run_neighbor_beyond_64_agents(capsys, graph):
     assert err == ""
 
 
+@pytest.mark.parametrize("protocol,option", [("ranking", "--tmax"), ("neighbor", "--pmax")])
+def test_run_with_a_param_beyond_int64(capsys, protocol, option):
+    # Timer fields wider than an int64 are drawn without overflow too.
+    huge = 2**70
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", protocol, "--graph", "path:4", option, str(huge),
+        "--trials", "2", "--seed", "1", "--max-steps", "50", "--closure-window", "0",
+    )
+    assert code in (0, 1)
+    records = json_lines(out)
+    assert [r.get("record") for r in records] == [None, None, "summary"]
+    assert all(r[option[2:]] == huge for r in records[:2])
+    assert err == ""
+
+
+RUN = ("run", "--protocol", "ranking", "--graph", "path:3")
+
+
+@pytest.mark.parametrize("argv", [
+    (*RUN, "--max-steps", "0"),
+    (*RUN, "--max-steps", "-4"),
+    ("sweep", "--protocol", "ranking", "--kinds", "path", "--ns", "3", "--max-steps", "0"),
+    ("walk", "--graph", "path:3", "--mode", "cover", "--trials", "0"),
+    ("walk", "--graph", "star:4", "--mode", "drift", "--k", "0"),
+    (*RUN, "--trials", "-1"),
+    (*RUN, "--closure-window", "-5"),
+    (*RUN, "--seed", "-1"),
+    ("verify", "--protocol", "ranking", "--graph", "complete:2", "--tmax", "0"),
+    ("verify", "--protocol", "greedydegree", "--impossibility", "path:3,complete:3",
+     "--tmax", "-1"),
+], ids=lambda argv: " ".join(argv[-2:]) + f" ({argv[0]})")
+def test_out_of_domain_input_exits_2(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected the value
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "error:" in out.err
+
+
 def test_csv_matches_json(tmp_path, capsys):
     csv_path = tmp_path / "trials.csv"
     code, out, _ = run_cli(

@@ -22,11 +22,7 @@ from poplab.neighbor import (
     bits,
     from_json,
     mask_of,
-    pack_state,
-    packed_bit_length,
-    random_mask,
     to_json,
-    unpack_state,
 )
 from poplab.oracles import neighbor_safe, neighbor_safe_predicate
 from poplab.ranking import BLUE, RANKING, RED, WHITE, RankState
@@ -316,28 +312,17 @@ def test_state_index_roundtrip():
 
 
 def test_packed_state_is_linear_in_n():
-    # A packed agent state fits in 32n bits across the whole supported range:
-    # the two label sets cost 2n and everything else is logarithmic.
+    # A state index fits in 32n bits across the whole supported range: the
+    # two label sets cost 2n and everything else is logarithmic.
     rng = random.Random(3)
     for n in range(2, 8):
         for _ in range(5):
             m = rng.randint(n - 1, n * (n - 1) // 2)
             g = generate_graph("random_connected", n, m, seed=rng.getrandbits(32))
             params = default_params(g, know_m=True)
-            width = packed_bit_length(params)
+            width = (NEIGHBOR.state_count(params) - 1).bit_length()
             assert width <= 32 * n
             s = sample_uniform_config(NEIGHBOR, params, rng.getrandbits(32))[0]
-            packed = pack_state(s, params)
-            assert packed.bit_length() <= width
-            assert unpack_state(packed, params) == s
-
-
-def test_random_mask_matches_int64_draw_below_64_bits():
-    for n in (1, 2, 7, 31, 63):
-        for seed in range(3):
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert random_mask(a, n) == int(b.integers(0, 1 << n))
-            assert a.integers(0, 100) == b.integers(0, 100)  # same stream position
-    rng = np.random.default_rng(0)
-    assert all(0 <= random_mask(rng, n) < (1 << n) for n in (64, 65, 128, 200))
-    assert any(random_mask(rng, 65) >> 64 for _ in range(20))
+            index = NEIGHBOR.state_to_index(s, params)
+            assert index.bit_length() <= width
+            assert NEIGHBOR.state_from_index(index, params) == s
