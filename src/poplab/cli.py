@@ -54,17 +54,23 @@ def parse_graph_spec(spec: str, seed: int) -> graphs.Graph:
     if ":" not in spec:
         raise SpecError(f"bad graph spec {spec!r}; expected kind:n[,m][@seed] or file:path")
     kind, _, rest = spec.partition(":")
-    gseed = seed
-    if "@" in rest:
-        rest, _, seed_part = rest.partition("@")
-        gseed = int(seed_part)
+    rest, at, seed_part = rest.partition("@")
     parts = rest.split(",")
     try:
+        gseed = int(seed_part) if at else seed
         n = int(parts[0])
         m = int(parts[1]) if len(parts) > 1 else None
         return graphs.generate_graph(kind, n, m, seed=gseed)
     except (ValueError, Infeasible) as exc:
         raise SpecError(f"bad graph spec {spec!r}: {exc}") from exc
+
+
+def _int_list(text: str, option: str) -> list[int]:
+    """Comma-separated integers, else SpecError naming ``option``."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise SpecError(f"{option} {text!r}: {exc}") from exc
 
 
 def _int_at_least(lowest: int):
@@ -169,7 +175,7 @@ def cmd_sweep(args) -> int:
     master_seed = _require_seed(args)
     protocol = PROTOCOLS[args.protocol]
     kinds = args.kinds.split(",")
-    ns = [int(x) for x in args.ns.split(",")]
+    ns = _int_list(args.ns, "--ns")
     fh, writer = _open_csv(args)
     all_ok = True
     try:
@@ -285,12 +291,12 @@ def cmd_game(args) -> int:
     if (args.counts is None) == (args.states is None):
         raise SpecError("game needs exactly one of --counts or --states")
     if args.counts is not None:
-        counts = tuple(int(x) for x in args.counts.split(","))
+        counts = tuple(_int_list(args.counts, "--counts"))
         states = []
         for value, count in enumerate(counts):
             states.extend([value] * count)
     else:
-        states = [int(x) for x in args.states.split(",")]
+        states = _int_list(args.states, "--states")
         counts = oracles.game_counts(states)
     record = {
         "record": "game",

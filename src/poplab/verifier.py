@@ -52,7 +52,8 @@ class TransitionGraph:
     agent_state_count: int
     config_count: int
     directed_pairs: tuple[tuple[int, int], ...]
-    successors: list[np.ndarray]  # one array of length config_count per directed pair
+    # (pairs, config_count): row e holds every key's successor under directed_pairs[e]
+    successors: np.ndarray
 
     def decode(self, key: int) -> tuple:
         q = self.agent_state_count
@@ -70,53 +71,74 @@ class TransitionGraph:
         return key
 
     def successor(self, key: int, pair_index: int) -> int:
-        return int(self.successors[pair_index][key])
+        return int(self.successors[pair_index, key])
 
     def outputs_of(self, key: int) -> tuple:
         return tuple(self.protocol.output(s) for s in self.decode(key))
 
 
 def _pair_tables(protocol, params, q: int):
-    """Tabulate the two-agent transition on state indices: (q0,q1) -> (q0',q1')."""
+    """Tabulate the two-agent transition on state indices: (q0,q1) -> (q0',q1').
+
+    Step results are looked up among the q states just enumerated; a result
+    not among them is validated, so an out-of-domain step raises
+    DomainViolation instead of packing a wrong index.
+    """
     states = [protocol.state_from_index(i, params) for i in range(q)]
+    index_of = {s: i for i, s in enumerate(states)}
     step = protocol.step
+
+    def to_index(s) -> int:
+        i = index_of.get(s)
+        if i is None:
+            protocol.validate_state(s, params)
+            i = protocol.state_to_index(s, params)
+        return i
+
     t0 = np.empty((q, q), dtype=np.int64)
     t1 = np.empty((q, q), dtype=np.int64)
-    to_index = protocol.state_to_index
     for i, s0 in enumerate(states):
         row0 = t0[i]
         row1 = t1[i]
         for j, s1 in enumerate(states):
             r0, r1 = step(s0, s1, params)
-            row0[j] = to_index(r0, params)
-            row1[j] = to_index(r1, params)
+            row0[j] = to_index(r0)
+            row1[j] = to_index(r1)
     return t0, t1
 
 
 def build_transition_graph(protocol, g: Graph, params, budget: int | None = None) -> TransitionGraph:
     """Enumerate every configuration's successor under every directed pair.
 
-    Raises TooLarge when the configuration count q^n exceeds the budget.
+    The keys are viewed as an n-dimensional array of shape (q,)*n, whose
+    axis n-1-a holds agent a's digit.  Pair (u, v) moves key k with digits
+    i (agent u) and j (agent v) by (t0[i,j] - i)*q^u + (t1[i,j] - j)*q^v,
+    a (q, q) table broadcast over the two agents' axes, so no digit is ever
+    extracted from a key.  Raises TooLarge when q^n exceeds the budget.
     """
     protocol.validate_params(params)
     if g.n != params.n:
         raise DomainViolation(f"graph has {g.n} agents but params expect {params.n}")
     q = protocol.state_count(params)
-    count = q**g.n
+    n = g.n
+    count = q**n
     limit = configured_budget(budget)
     if count > limit:
         raise TooLarge(count, limit)
 
     t0, t1 = _pair_tables(protocol, params, q)
-    keys = np.arange(count, dtype=np.int64)
-    successors = []
-    for u, v in g.directed_pairs:
-        pu = q**u
-        pv = q**v
-        du = (keys // pu) % q
-        dv = (keys // pv) % q
-        succ = keys + (t0[du, dv] - du) * pu + (t1[du, dv] - dv) * pv
-        successors.append(succ.astype(np.int32 if count < 2**31 else np.int64))
+    digits = np.arange(q, dtype=np.int64)
+    index_dtype = np.int32 if count < 2**31 else np.int64
+    keys = np.arange(count, dtype=index_dtype).reshape((q,) * n)
+    successors = np.empty((len(g.directed_pairs), count), dtype=index_dtype)
+    for e, (u, v) in enumerate(g.directed_pairs):
+        # delta[i, j]: i is agent u's digit, j agent v's.
+        delta = (t0 - digits[:, None]) * q**u + (t1 - digits[None, :]) * q**v
+        if u < v:  # agent v's axis (n-1-v) comes first
+            delta = delta.T
+        shape = [1] * n
+        shape[n - 1 - u] = shape[n - 1 - v] = q
+        np.add(keys, delta.astype(index_dtype).reshape(shape), out=successors[e].reshape(keys.shape))
     return TransitionGraph(
         protocol=protocol,
         graph=g,
@@ -128,26 +150,72 @@ def build_transition_graph(protocol, g: Graph, params, budget: int | None = None
     )
 
 
+# Rows of the adjacency matrix are built this many at a time, so each block
+# is sorted and transposed in cache.
+_ROW_BLOCK = 1 << 14
+
+
+def _sort_columns(block: np.ndarray) -> None:
+    """Sort every column of ``block`` in place, with an insertion sorting network.
+
+    Each compare-exchange is three vector operations over whole rows; with
+    one row per directed pair that beats ``np.sort``, which sorts every
+    column of a few entries on its own.
+    """
+    low = np.empty_like(block[0])
+    for i in range(1, len(block)):
+        for j in range(i, 0, -1):
+            a, b = block[j - 1], block[j]
+            np.minimum(a, b, out=low)
+            np.maximum(a, b, out=b)
+            a[...] = low
+
+
 def final_sets(tg: TransitionGraph) -> list[frozenset[int]]:
     """Bottom strongly connected components: closed and mutually reachable.
 
     Returned sets are pairwise disjoint, each closed under every directed
     pair (exactly the configurations some schedule can trap the system in).
+
+    Row k of the adjacency matrix holds k's successor under every pair,
+    sorted, so the CSR is built directly with one entry per pair: indptr
+    steps by the pair count.  A successor that repeats the one before it is
+    replaced by k itself.  scipy's strong components do not return when a
+    row repeats an edge to another node (already on the two-node graph
+    0 -> 1 twice; K2 at tmax=2 ran for more than 30 s), while a self-loop
+    is skipped there like any edge to a visited node, so the components and
+    their labels are those of the deduplicated graph.  The strong components
+    read only indices and indptr; the data is a read-only broadcast of one
+    value instead of an array of count * pairs floats.
     """
     count = tg.config_count
-    index_dtype = tg.successors[0].dtype
-    rows = np.tile(np.arange(count, dtype=index_dtype), len(tg.successors))
-    cols = np.concatenate(tg.successors)
+    succ = tg.successors
+    pairs = len(succ)
+    nnz = count * pairs
+    index_dtype = np.int32 if nnz < 2**31 else np.int64
+    adjacency = np.empty((count, pairs), dtype=index_dtype)
+    for start in range(0, count, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, count)
+        # Column k - start of the block holds configuration k's successors.
+        block = succ[:, start:stop].astype(index_dtype)
+        _sort_columns(block)
+        repeat = block[1:] == block[:-1]
+        np.copyto(block[1:], np.arange(start, stop, dtype=index_dtype), where=repeat)
+        adjacency[start:stop] = block.T
+    indptr = np.arange(0, nnz + 1, pairs, dtype=index_dtype)
     matrix = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(count, count)
+        (np.broadcast_to(np.float64(1.0), (nnz,)), adjacency.reshape(-1), indptr),
+        shape=(count, count),
     )
     n_comp, labels = csgraph.connected_components(matrix, directed=True, connection="strong")
-    del matrix
+    del matrix, adjacency, indptr
 
+    # A component with an edge leaving it is not final.
+    leaves = np.zeros(count, dtype=bool)
+    for row in succ:
+        leaves |= labels[row] != labels
     has_out = np.zeros(n_comp, dtype=bool)
-    crossing = labels[rows] != labels[cols]
-    has_out[labels[rows[crossing]]] = True
-    del rows, cols, crossing
+    has_out[labels[leaves]] = True
 
     members = np.flatnonzero(~has_out[labels])
     if members.size == 0:

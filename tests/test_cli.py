@@ -179,6 +179,10 @@ RUN = ("run", "--protocol", "ranking", "--graph", "path:3")
     ("verify", "--protocol", "ranking", "--graph", "complete:2", "--tmax", "0"),
     ("verify", "--protocol", "greedydegree", "--impossibility", "path:3,complete:3",
      "--tmax", "-1"),
+    ("run", "--protocol", "ranking", "--graph", "path:3@x"),
+    ("sweep", "--protocol", "ranking", "--kinds", "path", "--ns", "3,x"),
+    ("game", "--states", "a"),
+    ("game", "--counts", "1,x"),
 ], ids=lambda argv: " ".join(argv[-2:]) + f" ({argv[0]})")
 def test_out_of_domain_input_exits_2(capsys, argv):
     try:

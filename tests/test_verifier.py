@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from poplab.engine import Protocol, ProtocolParams, default_params
@@ -14,6 +16,7 @@ from poplab.verifier import (
     GREEDY_DEGREE,
     GreedyDegreeState,
     Witness,
+    _pair_tables,
     build_transition_graph,
     configured_budget,
     final_sets,
@@ -64,6 +67,32 @@ def test_successors_match_scalar_step():
         states = list(tg.decode(key))
         states[u], states[v] = RANKING.step(states[u], states[v], params)
         assert tg.encode(states) == tg.successor(key, e)
+
+
+@pytest.mark.parametrize("kind, n, tmax", [("complete", 2, 2), ("path", 3, 1), ("star", 3, 1)])
+def test_successors_match_digit_formula(kind, n, tmax):
+    # The reference extracts both agents' digits from every key and looks the
+    # pair up in the two-agent tables.
+    g = generate_graph(kind, n)
+    params = ProtocolParams(n=n, tmax=tmax)
+    tg = build_transition_graph(RANKING, g, params)
+    q = tg.agent_state_count
+    t0, t1 = _pair_tables(RANKING, params, q)
+    keys = np.arange(tg.config_count, dtype=np.int64)
+    assert any(u > v for u, v in tg.directed_pairs)
+    assert tg.successors.shape == (len(tg.directed_pairs), tg.config_count)
+    for e, (u, v) in enumerate(tg.directed_pairs):
+        du = (keys // q**u) % q
+        dv = (keys // q**v) % q
+        expected = keys + (t0[du, dv] - du) * q**u + (t1[du, dv] - dv) * q**v
+        np.testing.assert_array_equal(tg.successors[e], expected)
+
+
+def test_out_of_domain_step_raises():
+    g = generate_graph("complete", 2)
+    escaping = dataclasses.replace(OSCILLATOR, step=lambda s0, s1, params: (s0 + s1, s1))
+    with pytest.raises(DomainViolation):
+        build_transition_graph(escaping, g, ProtocolParams(n=2, tmax=1))
 
 
 def test_neighbor_state_space_exceeds_budget():
@@ -132,6 +161,56 @@ def test_greedy_degree_final_sets_are_absorbing_singletons():
         assert len(fset) == 1
         key = next(iter(fset))
         assert all(tg.successor(key, e) == key for e in range(len(tg.successors)))
+
+
+@pytest.mark.parametrize("protocol, kind, n, tmax", [
+    (RANKING, "complete", 2, 1),
+    (RANKING, "complete", 2, 2),
+    (GREEDY_DEGREE, "path", 3, 1),
+    # Every pair leaves every configuration where it is, so every row of the
+    # adjacency matrix repeats one self-loop and every configuration is final.
+    (FIXED_OUTPUT, "complete", 3, 1),
+], ids=lambda x: getattr(x, "name", x))
+def test_final_sets_match_attracting_components(protocol, kind, n, tmax):
+    # The ranking and greedydegree rows repeat edges to other configurations,
+    # on which scipy's strong components hang unless final_sets turns the
+    # repeats into self-loops.
+    g = generate_graph(kind, n)
+    tg = build_transition_graph(protocol, g, ProtocolParams(n=n, tmax=tmax))
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(tg.config_count))
+    for succ in tg.successors:
+        digraph.add_edges_from(enumerate(succ.tolist()))
+    expected = sorted(sorted(c) for c in nx.attracting_components(digraph))
+    assert sorted(sorted(f) for f in final_sets(tg)) == expected
+
+
+
+@pytest.mark.parametrize("protocol, kind, n, tmax", [
+    (RANKING, "complete", 2, 2),
+    (RANKING, "path", 3, 1),
+    (GREEDY_DEGREE, "complete", 3, 1),
+], ids=lambda x: getattr(x, "name", x))
+def test_final_sets_in_the_order_of_the_deduplicated_graph(protocol, kind, n, tmax):
+    # final_sets replaces repeated successors by self-loops instead of
+    # removing them; the components and their labels, and so the order of
+    # the returned sets, must be those of the sorted, deduplicated CSR.
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    g = generate_graph(kind, n)
+    tg = build_transition_graph(protocol, g, ProtocolParams(n=n, tmax=tmax))
+    count, pairs = tg.config_count, len(tg.successors)
+    matrix = sparse.csr_matrix(
+        (np.ones(count * pairs), np.ascontiguousarray(tg.successors.T).reshape(-1),
+         np.arange(0, count * pairs + 1, pairs)), shape=(count, count))
+    matrix.sum_duplicates()
+    _, labels = csgraph.connected_components(matrix, directed=True, connection="strong")
+    got = final_sets(tg)
+    assert [labels[min(f)] for f in got] == sorted(labels[min(f)] for f in got)
+    assert all(len({labels[k] for k in f}) == 1 for f in got)
+    assert sorted(sorted(f) for f in got) == sorted(
+        sorted(np.flatnonzero(labels == labels[min(f)]).tolist()) for f in got)
 
 
 # --- verification -------------------------------------------------------------
