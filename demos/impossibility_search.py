@@ -15,7 +15,7 @@ import json
 import poplab as pl
 from poplab.engine import ProtocolParams
 from poplab.oracles import check_spec
-from poplab.verifier import GREEDY_DEGREE, impossibility_witness, replay_witness
+from poplab.verifier import GREEDY_DEGREE, impossibility_witness
 
 p3 = pl.generate_graph("path", 3)
 k3 = pl.generate_graph("complete", 3)
@@ -37,7 +37,7 @@ else:
           f"{witness.agent}'s claim {witness.before} -> {witness.after}, "
           f"contradicting safety on the triangle.")
 
-end = replay_witness(GREEDY_DEGREE, witness, params)
+end = pl.replay(GREEDY_DEGREE, p3, witness.start, witness.pairs, params)
 print(f"replay check: outputs after the sequence = "
       f"{[GREEDY_DEGREE.output(s) for s in end]}")
 print("\nwitness as JSON:")

@@ -15,16 +15,13 @@ from .engine import (
     Protocol,
     ProtocolParams,
     RunResult,
-    TokenTracker,
-    apply_interaction,
     checked_step,
     default_params,
-    draw_pair,
     mix_seed,
+    replay,
     run_trial,
     run_until,
     sample_uniform_config,
-    token_position,
 )
 from .graph import (
     GENERATOR_KINDS,
@@ -66,7 +63,6 @@ from .verifier import (
     build_transition_graph,
     final_sets,
     impossibility_witness,
-    replay_witness,
     verify_self_stabilizing,
     verify_transition_graph,
 )

@@ -4,8 +4,8 @@ Every record is one JSON object per line (keys sorted, so identical command
 lines with identical seeds give byte-identical output); ``--csv`` mirrors the
 trial records to a CSV file with the same columns.  All randomness flows from
 ``--seed``; with ``--strict`` a missing seed is an error instead of the fixed
-default 0.  The POPLAB_BUDGET environment variable overrides the verifier's
-configuration budget.
+default 0.  ``verify --budget`` caps the configurations the verifier may
+enumerate (default ``verifier.DEFAULT_BUDGET``).
 """
 
 from __future__ import annotations
@@ -101,11 +101,8 @@ def _require_seed(args) -> int:
 
 
 def _params_for(protocol, g, args) -> engine.ProtocolParams:
-    know_m = protocol.name == "neighbor" or getattr(args, "know_m", False)
-    return engine.default_params(
-        g, know_m=know_m, tmax=args.tmax, pmax=getattr(args, "pmax", None),
-        emax=getattr(args, "emax", None),
-    )
+    know_m = protocol.name == "neighbor" or args.know_m
+    return engine.default_params(g, know_m=know_m, tmax=args.tmax, pmax=args.pmax, emax=args.emax)
 
 
 def _reference_steps(g, params) -> float:
@@ -150,7 +147,7 @@ def _run_cell(protocol, g, args, master_seed, csv_writer, graph_label) -> bool:
 
 
 def _open_csv(args):
-    if not getattr(args, "csv", None):
+    if not args.csv:
         return None, None
     fh = open(args.csv, "w", newline="", encoding="utf-8")
     writer = csv.DictWriter(fh, fieldnames=list(engine.RunResult.RECORD_FIELDS), extrasaction="ignore")
@@ -213,9 +210,6 @@ def cmd_verify(args) -> int:
         except TooLarge as exc:
             _emit({"record": "error", "error": "TooLarge", "detail": str(exc)})
             return EXIT_TOO_LARGE
-        if witness is None:
-            _emit({"record": "impossibility", "witness": None})
-            return EXIT_OK
         _emit({"record": "impossibility", "witness": witness.to_json(protocol)})
         return EXIT_WITNESS
 
@@ -359,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="SUBGRAPH,SUPERGRAPH specs for the witness search")
     verify.add_argument("--tmax", type=int, default=None,
                         help="timer ceiling for model checking (default 1)")
-    verify.add_argument("--budget", type=int, default=None,
-                        help="configuration budget (also via POPLAB_BUDGET)")
+    verify.add_argument("--budget", type=int, default=verifier.DEFAULT_BUDGET,
+                        help="configuration budget (default %(default)s)")
     verify.set_defaults(func=cmd_verify)
 
     walk = sub.add_parser("walk", help="token-walk measurements against their bounds")

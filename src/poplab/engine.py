@@ -1,4 +1,4 @@
-"""Execution engine: the protocol interface, the state codec, the scheduler, trials, token tracking.
+"""Execution engine: the protocol interface, the state codec, the scheduler, trials, replay.
 
 Every protocol is one ``Protocol`` record of functions whose ``step`` is
 unchecked; ``checked_step`` is the single place that validates both endpoint
@@ -14,22 +14,26 @@ determined by (protocol, graph, initial configuration, params, seed); trial
 seeds are split from a master seed with a documented mixing function so
 sweeps stay reproducible and embarrassingly parallel.
 
-``run_until`` draws the schedule in blocks of ``_BLOCK`` pair indices and
-hands each block to one of two step loops, which report how many pairs they
-consumed before the stop condition (safety, or an output change in the
-closure window), so the seed stream, the record, ``final_states`` and the
-trace do not depend on the loop.  ``_compiled_loop`` is the one dispatch
-rule: the compiled loop (``_loop.c``, built on first use; see
-``_compiled``) runs only when the protocol is ``RANKING`` or ``NEIGHBOR``,
-the predicate carries the ``safe_for`` mark that ``oracles.rank_safe_predicate``
-and ``oracles.neighbor_safe_predicate`` attach, built for this graph and n,
-n <= 64 with every param inside its C field, and the library loaded.
-Everything else (custom or wrapped predicates, proxies, n >= 65, no C
-compiler) runs the Python loop, which is the reference.  On the compiled
-path the Python predicate confirms what C claims: it must reject the
-configuration where an unconverged run stopped, and accept the one at
-``steps_to_safe`` and the final one (the safe set is closed); a
-disagreement raises RuntimeError.
+The schedule is drawn in one place, ``_draw_and_advance``: it draws blocks
+of ``_BLOCK`` pair indices and hands each block to one of two step loops,
+which report how many pairs they consumed before the stop condition
+(safety, or an output change in the closure window), so the seed stream,
+the record, ``final_states`` and the trace do not depend on the loop.
+``run_until`` calls it once for convergence and once for the closure
+window.  ``replay`` applies a given pair sequence, such as a recorded trace
+or a verifier witness, through ``checked_step``.
+
+``_compiled_loop`` is the one dispatch rule: the compiled loop (``_loop.c``,
+built on first use; see ``_compiled``) runs only when the protocol is
+``RANKING`` or ``NEIGHBOR``, the predicate carries the ``safe_for`` mark that
+``oracles.rank_safe_predicate`` and ``oracles.neighbor_safe_predicate``
+attach, built for this graph and n, n <= 64 with every param inside its C
+field, and the library loaded.  Everything else (custom or wrapped
+predicates, proxies, n >= 65, no C compiler) runs the Python loop, which is
+the reference.  On the compiled path the Python predicate confirms what C
+claims: it must reject the configuration where an unconverged run stopped,
+and accept the one at ``steps_to_safe`` and the final one (the safe set is
+closed); a disagreement raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -113,12 +117,12 @@ def state_codec(fields: Sequence[Field], flatten, unflatten, validate_params) ->
     """The five state functions of a ``Protocol``, from its ordered field table.
 
     ``flatten(s)`` gives a state's field values in table order and
-    ``unflatten(values)`` rebuilds the state from them.  ``validate_state``
-    raises DomainViolation naming the first field outside lo..lo+size-1.
-    The state index is mixed radix over the offsets value - lo, first field
-    most significant, so ``state_count`` is the product of the sizes and the
-    index of a state never needs more bits than its fields' binary widths
-    together.  ``random_state`` draws the fields in table order, one
+    ``unflatten(values)`` rebuilds the state from them.  ``state_to_index``
+    and ``validate_state`` raise DomainViolation naming the first field
+    outside lo..lo+size-1.  The state index is mixed radix over the offsets
+    value - lo, first field most significant, so ``state_count`` is the
+    product of the sizes and the index of a state never needs more bits than
+    its fields' binary widths together.  ``random_state`` draws the fields in table order, one
     ``random_below`` each.  Every function validates params first: the sizes
     come from ``validate_params`` and then the table, computed again only
     when a call passes another params object than the call before (params
@@ -136,19 +140,19 @@ def state_codec(fields: Sequence[Field], flatten, unflatten, validate_params) ->
             latest[0] = (params, radices)
         return radices
 
-    def validate_state(s, params) -> None:
+    def state_to_index(s, params) -> int:
+        i = 0
         for name, lo, size, value in zip(names, los, sizes(params), flatten(s), strict=True):
             if not lo <= value < lo + size:
                 raise DomainViolation(f"{name} out of {lo}..{lo + size - 1} in {s}")
+            i = i * size + (value - lo)
+        return i
+
+    def validate_state(s, params) -> None:
+        state_to_index(s, params)
 
     def state_count(params) -> int:
         return math.prod(sizes(params))
-
-    def state_to_index(s, params) -> int:
-        i = 0
-        for lo, size, value in zip(los, sizes(params), flatten(s)):
-            i = i * size + (value - lo)
-        return i
 
     def state_from_index(i: int, params):
         digits = []
@@ -242,11 +246,6 @@ class InteractionTrace:
     pairs: tuple[tuple[int, int], ...]
     seed: int
 
-    def validate(self, g: Graph) -> None:
-        for u, v in self.pairs:
-            if not g.has_edge(u, v):
-                raise NotAnEdge(f"({u},{v}) recorded in trace but absent from graph")
-
 
 @dataclass
 class RunResult:
@@ -279,22 +278,17 @@ class RunResult:
         return {name: getattr(self, name) for name in self.RECORD_FIELDS}
 
 
-def draw_pair(g: Graph, rng: np.random.Generator) -> tuple[int, int]:
-    """One scheduler draw: each of the 2m directed pairs has probability 1/(2m)."""
-    pairs = g.directed_pairs
-    return pairs[int(rng.integers(0, len(pairs)))]
+def replay(protocol, g: Graph, c: Sequence, pairs, params) -> tuple:
+    """Apply the interactions ``pairs`` to ``c`` in order, each through ``checked_step``.
 
-
-def apply_interaction(protocol, g: Graph, c: Sequence, pair: tuple[int, int], params) -> tuple:
-    """Apply one interaction to a configuration; only the two endpoints change."""
-    u, v = pair
-    if not g.has_edge(u, v):
-        raise NotAnEdge(f"({u},{v}) is not a directed edge")
-    s0, s1 = checked_step(protocol, c[u], c[v], params)
-    out = list(c)
-    out[u] = s0
-    out[v] = s1
-    return tuple(out)
+    Raises NotAnEdge for a pair that is not a directed edge of ``g``.
+    """
+    states = list(c)
+    for u, v in pairs:
+        if not g.has_edge(u, v):
+            raise NotAnEdge(f"({u},{v}) is not a directed edge")
+        states[u], states[v] = checked_step(protocol, states[u], states[v], params)
+    return tuple(states)
 
 
 def sample_uniform_config(protocol, params, seed) -> tuple:
@@ -395,6 +389,26 @@ def _confirm(safe_predicate, states, safe: bool, step: int) -> None:
         )
 
 
+def _draw_and_advance(rng, pairs, budget: int, advance, trace) -> tuple[int, bool]:
+    """The scheduler: uniform pair indices in blocks of at most ``_BLOCK``, fed to ``advance``.
+
+    ``advance`` is a loop's ``converge`` or ``closure``.  Stops once it
+    reports its condition or ``budget`` pairs are consumed; the consumed
+    pairs extend ``trace`` unless it is None.  Returns (pairs consumed,
+    stopped on the condition).
+    """
+    done = 0
+    while done < budget:
+        block = rng.integers(0, len(pairs), size=min(_BLOCK, budget - done))
+        consumed, stopped = advance(block)
+        done += consumed
+        if trace is not None:
+            trace.extend(pairs[i] for i in block[:consumed].tolist())
+        if stopped:
+            return done, True
+    return done, False
+
+
 def run_until(
     protocol,
     g: Graph,
@@ -427,7 +441,6 @@ def run_until(
 
     rng = np.random.default_rng(seed)
     pairs = g.directed_pairs
-    npairs = len(pairs)
     loop = _compiled_loop(protocol, g, params, c0, safe_predicate)
     compiled = loop is not None
     if loop is None:
@@ -436,12 +449,8 @@ def run_until(
 
     steps = 0
     steps_to_safe = 0 if safe_predicate(list(c0)) else None
-    while steps_to_safe is None and steps < max_steps:
-        block = rng.integers(0, npairs, size=min(_BLOCK, max_steps - steps))
-        done, safe = loop.converge(block)
-        steps += done
-        if trace is not None:
-            trace.extend(pairs[i] for i in block[:done].tolist())
+    if steps_to_safe is None:
+        steps, safe = _draw_and_advance(rng, pairs, max_steps, loop.converge, trace)
         if safe:
             steps_to_safe = steps
     if compiled and steps:
@@ -450,14 +459,8 @@ def run_until(
     closure_ok = None
     window = 0
     if steps_to_safe is not None:
-        closure_ok = True
-        while window < closure_window and closure_ok:
-            block = rng.integers(0, npairs, size=min(_BLOCK, closure_window - window))
-            done, changed = loop.closure(block)
-            window += done
-            if trace is not None:
-                trace.extend(pairs[i] for i in block[:done].tolist())
-            closure_ok = not changed
+        window, changed = _draw_and_advance(rng, pairs, closure_window, loop.closure, trace)
+        closure_ok = not changed
     states = loop.states()
     if compiled and window:
         # The safe set is closed under steps, so the final configuration is safe too.
@@ -502,35 +505,3 @@ def run_trial(
         closure_window=closure_window, record_trace=record_trace,
     )
     return dataclasses.replace(res, seed=trial_seed)
-
-
-class TokenTracker:
-    """Positions of the n virtual tokens (token w starts on agent w).
-
-    The two participants of every interaction exchange their tokens, so
-    ``position`` stays a permutation of 0..n-1.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.position = list(range(n))  # token id -> hosting agent
-        self._token_at = list(range(n))  # agent -> hosted token id
-
-    def apply(self, pair: tuple[int, int]) -> None:
-        u, v = pair
-        a = self._token_at[u]
-        b = self._token_at[v]
-        self._token_at[u] = b
-        self._token_at[v] = a
-        self.position[a] = v
-        self.position[b] = u
-
-    def replay(self, pairs) -> "TokenTracker":
-        for pair in pairs:
-            self.apply(pair)
-        return self
-
-
-def token_position(n: int, pairs, w: int) -> int:
-    """Host of token w after replaying the given interaction prefix."""
-    return TokenTracker(n).replay(pairs).position[w]

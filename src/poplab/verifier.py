@@ -15,7 +15,6 @@ order of its state index; see ``engine.state_codec``).
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -24,22 +23,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .engine import Field, Protocol, checked_step, state_codec
+from .engine import Field, Protocol, state_codec
 from .errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
 from .graph import Graph
 from .neighbor import bits
 from .oracles import check_spec
 
 DEFAULT_BUDGET = 10_000_000
-BUDGET_ENV = "POPLAB_BUDGET"
-
-
-def configured_budget(budget: int | None = None) -> int:
-    """Explicit argument, else the POPLAB_BUDGET environment variable, else default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else DEFAULT_BUDGET
 
 
 @dataclass
@@ -80,9 +70,9 @@ class TransitionGraph:
 def _pair_tables(protocol, params, q: int):
     """Tabulate the two-agent transition on state indices: (q0,q1) -> (q0',q1').
 
-    Step results are looked up among the q states just enumerated; a result
-    not among them is validated, so an out-of-domain step raises
-    DomainViolation instead of packing a wrong index.
+    Step results are looked up among the q states just enumerated, which
+    are the whole per-agent domain, so a result not among them is out of
+    the domain and raises DomainViolation instead of packing a wrong index.
     """
     states = [protocol.state_from_index(i, params) for i in range(q)]
     index_of = {s: i for i, s in enumerate(states)}
@@ -91,8 +81,7 @@ def _pair_tables(protocol, params, q: int):
     def to_index(s) -> int:
         i = index_of.get(s)
         if i is None:
-            protocol.validate_state(s, params)
-            i = protocol.state_to_index(s, params)
+            raise DomainViolation(f"step result {s} is not one of the {q} states")
         return i
 
     t0 = np.empty((q, q), dtype=np.int64)
@@ -107,7 +96,7 @@ def _pair_tables(protocol, params, q: int):
     return t0, t1
 
 
-def build_transition_graph(protocol, g: Graph, params, budget: int | None = None) -> TransitionGraph:
+def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUDGET) -> TransitionGraph:
     """Enumerate every configuration's successor under every directed pair.
 
     The keys are viewed as an n-dimensional array of shape (q,)*n, whose
@@ -122,9 +111,8 @@ def build_transition_graph(protocol, g: Graph, params, budget: int | None = None
     q = protocol.state_count(params)
     n = g.n
     count = q**n
-    limit = configured_budget(budget)
-    if count > limit:
-        raise TooLarge(count, limit)
+    if count > budget:
+        raise TooLarge(count, budget)
 
     t0, t1 = _pair_tables(protocol, params, q)
     digits = np.arange(q, dtype=np.int64)
@@ -236,7 +224,8 @@ class Witness(NamedTuple):
     reachable interaction sequence ever changes any output, and agent
     ``agent``'s output ``before`` == ``after`` violates the specification) or
     "unsafe_final" (a final configuration fails the safe predicate with
-    constant outputs).
+    constant outputs).  ``engine.replay(protocol, g, w.start, w.pairs,
+    params)`` re-simulates a witness ``w`` on the graph ``g`` it was found for.
     """
 
     kind: str
@@ -263,16 +252,6 @@ def _json_output(value):
     if isinstance(value, (frozenset, set)):
         return sorted(value)
     return value
-
-
-def replay_witness(protocol, witness: Witness, params) -> tuple:
-    """Re-simulate the witness sequence; returns the configuration it ends in."""
-    states = list(witness.start)
-    for u, v in witness.pairs:
-        s0, s1 = checked_step(protocol, states[u], states[v], params)
-        states[u] = s0
-        states[v] = s1
-    return tuple(states)
 
 
 def _output_change_witness(tg: TransitionGraph, start_key: int):
@@ -320,7 +299,7 @@ def verify_self_stabilizing(
     g: Graph,
     params,
     safe_predicate: Callable,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ):
     """True iff every final configuration is safe with constant outputs.
 
@@ -363,7 +342,7 @@ def impossibility_witness(
     g_sub: Graph,
     g_super: Graph,
     params,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ):
     """Witness that a degree-claiming protocol cannot serve two pair counts.
 

@@ -27,7 +27,7 @@ from poplab.oracles import (
     safe_predicate,
 )
 from poplab.ranking import RANKING
-from poplab.verifier import GREEDY_DEGREE, Witness, impossibility_witness, replay_witness
+from poplab.verifier import GREEDY_DEGREE, Witness, impossibility_witness
 
 GRAPH_SEED = 911
 RANK_SEED = 20_260_101
@@ -229,7 +229,7 @@ def test_criterion_09_impossibility_witness():
     assert isinstance(witness, Witness)
     start_outputs = [GREEDY_DEGREE.output(s) for s in witness.start]
     assert check_spec("degree", start_outputs, k3)  # safe on the supergraph
-    end = replay_witness(GREEDY_DEGREE, witness, params)  # replay over P3 pairs
+    end = pl.replay(GREEDY_DEGREE, p3, witness.start, witness.pairs, params)  # replay over P3 pairs
     end_outputs = [GREEDY_DEGREE.output(s) for s in end]
     if witness.kind == "output_change":
         assert end_outputs[witness.agent] == witness.after != witness.before

@@ -7,14 +7,6 @@ import pytest
 from poplab.cli import PROTOCOLS, main
 from poplab.graph import generate_graph, save_edge_list
 
-pytestmark = pytest.mark.usefixtures("clean_budget_env")
-
-
-@pytest.fixture
-def clean_budget_env(monkeypatch):
-    monkeypatch.delenv("POPLAB_BUDGET", raising=False)
-
-
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -258,11 +250,12 @@ def test_verify_neighbor_too_large(capsys):
     assert json_lines(out)[0]["error"] == "TooLarge"
 
 
-def test_verify_budget_env(monkeypatch, capsys):
-    monkeypatch.setenv("POPLAB_BUDGET", "100")
+def test_verify_budget_env(capsys):
+    # --budget is the one way to change the budget.
     code, out, _ = run_cli(capsys, "verify", "--protocol", "ranking",
-                           "--graph", "complete:2", "--seed", "0")
+                           "--graph", "complete:2", "--seed", "0", "--budget", "100")
     assert code == 4
+    assert json_lines(out)[0]["error"] == "TooLarge"
 
 
 def test_verify_broken_protocol_reports_witness(capsys):
@@ -389,12 +382,15 @@ def test_game_requires_exactly_one_input(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "poplab", "game", "--counts", "2,0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["stable"] == [0]

@@ -7,18 +7,14 @@ from scipy import stats
 
 from poplab import _compiled, engine
 from poplab.engine import (
-    InteractionTrace,
     Protocol,
     ProtocolParams,
-    TokenTracker,
-    apply_interaction,
     default_params,
-    draw_pair,
     mix_seed,
+    replay,
     run_trial,
     run_until,
     sample_uniform_config,
-    token_position,
 )
 from poplab.errors import DomainViolation, NotAnEdge
 from poplab.graph import generate_graph
@@ -67,14 +63,19 @@ def test_default_params_orders():
     assert r.tmax == 7
 
 
+def never_safe(states):
+    return False
+
+
 def test_draw_pair_uniformity_chi_square():
-    # 1e6 scheduler draws on the triangle must look uniform over the six
-    # directed pairs (chi-square, not rejected at p = 0.001).
+    # 1e6 steps of the run_until scheduler on the triangle must look uniform
+    # over the six directed pairs (chi-square, not rejected at p = 0.001).
     g = generate_graph("complete", 3)
-    rng = np.random.default_rng(404)
+    res = run_until(IDENTITY, g, (0, 1, 2), ProtocolParams(n=3), seed=404, max_steps=1_000_000,
+                    safe_predicate=never_safe, record_trace=True)
     counts = {pair: 0 for pair in g.directed_pairs}
-    for _ in range(1_000_000):
-        counts[draw_pair(g, rng)] += 1
+    for pair in res.trace.pairs:
+        counts[pair] += 1
     assert sum(counts.values()) == 1_000_000
     _, pvalue = stats.chisquare(list(counts.values()))
     assert pvalue > 0.001
@@ -82,24 +83,24 @@ def test_draw_pair_uniformity_chi_square():
 
 def test_draw_pair_covers_p2():
     g = generate_graph("path", 2)
-    rng = np.random.default_rng(1)
-    seen = {draw_pair(g, rng) for _ in range(100)}
-    assert seen == {(0, 1), (1, 0)}
+    res = run_until(IDENTITY, g, (0, 1), ProtocolParams(n=2), seed=1, max_steps=100,
+                    safe_predicate=never_safe, record_trace=True)
+    assert set(res.trace.pairs) == {(0, 1), (1, 0)}
 
 
 def test_apply_interaction_identity_and_locality():
     g = generate_graph("path", 3)
     c = (10, 20, 30)
-    after = apply_interaction(IDENTITY, g, c, (0, 1), None)
+    after = replay(IDENTITY, g, c, [(0, 1)], None)
     assert after == c
     params = ProtocolParams(n=3, tmax=2)
     rng = np.random.default_rng(3)
     config = sample_uniform_config(RANKING, params, rng)
     for pair in g.directed_pairs:
-        out = apply_interaction(RANKING, g, config, pair, params)
+        out = replay(RANKING, g, config, [pair], params)
         third = ({0, 1, 2} - set(pair)).pop()
         assert out[third] == config[third]
-        assert apply_interaction(RANKING, g, config, pair, params) == out  # determinism
+        assert replay(RANKING, g, config, [pair], params) == out  # determinism
 
 
 def test_apply_interaction_rejects_non_edges():
@@ -107,9 +108,9 @@ def test_apply_interaction_rejects_non_edges():
     params = ProtocolParams(n=3, tmax=1)
     c = sample_uniform_config(RANKING, params, 0)
     with pytest.raises(NotAnEdge):
-        apply_interaction(RANKING, g, c, (0, 2), params)
+        replay(RANKING, g, c, [(0, 2)], params)
     with pytest.raises(NotAnEdge):
-        apply_interaction(RANKING, g, c, (0, 0), params)
+        replay(RANKING, g, c, [(0, 0)], params)
 
 
 def test_sample_uniform_config_domain_size_and_seeding():
@@ -189,7 +190,7 @@ def test_run_determinism_and_trace():
     assert runs[0].steps_to_safe == runs[1].steps_to_safe
     assert runs[0].final_states == runs[1].final_states
     assert runs[0].trace.pairs == runs[1].trace.pairs
-    runs[0].trace.validate(g)
+    assert all(g.has_edge(u, v) for u, v in runs[0].trace.pairs)
     other = run_trial(RANKING, g, params, trial_seed=43, max_steps=500_000,
                       safe_predicate=pred, closure_window=500, record_trace=True)
     assert other.trace.pairs != runs[0].trace.pairs
@@ -216,37 +217,17 @@ def test_mix_seed_spreads():
     assert mix_seed(124, 5) != mix_seed(123, 5)
 
 
-def test_token_tracker_examples():
-    assert token_position(3, [], 0) == 0
-    assert token_position(2, [(0, 1)], 0) == 1
-    assert token_position(2, [(0, 1)], 1) == 0
-    assert token_position(3, [(0, 1), (1, 2)], 0) == 2
-
-
-def test_token_tracker_stays_permutation():
-    import random as pyrandom
-
-    rng = pyrandom.Random(8)
-    g = generate_graph("random_connected", 6, 9, seed=2)
-    tracker = TokenTracker(6)
-    pairs = g.directed_pairs
-    for _ in range(500):
-        tracker.apply(pairs[rng.randrange(len(pairs))])
-        assert sorted(tracker.position) == list(range(6))
-        for token, host in enumerate(tracker.position):
-            assert tracker._token_at[host] == token
-
-
-def test_trace_validate_rejects_foreign_pairs():
+def test_replay_rejects_foreign_pairs():
     g = generate_graph("path", 3)
-    trace = InteractionTrace(pairs=((0, 2),), seed=0)
+    params = ProtocolParams(n=3, tmax=1)
+    c = sample_uniform_config(RANKING, params, 0)
     with pytest.raises(NotAnEdge):
-        trace.validate(g)
+        replay(RANKING, g, c, [(0, 1), (0, 2)], params)
 
 
 def test_recorded_trace_replays_to_final_configuration():
     # The trace a run records is exactly the schedule it executed: replaying
-    # it step by step through apply_interaction lands on final_states.
+    # it through replay lands on final_states.
     g = generate_graph("random_connected", 4, 5, seed=17)
     params = default_params(g)
     c0 = sample_uniform_config(RANKING, params, 55)
@@ -256,10 +237,7 @@ def test_recorded_trace_replays_to_final_configuration():
         record_trace=True,
     )
     assert res.steps_to_safe is not None
-    replayed = c0
-    for pair in res.trace.pairs:
-        replayed = apply_interaction(RANKING, g, replayed, pair, params)
-    assert replayed == res.final_states
+    assert replay(RANKING, g, c0, res.trace.pairs, params) == res.final_states
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from poplab.engine import ProtocolParams, apply_interaction, default_params
+from poplab.engine import ProtocolParams, default_params, replay
 from poplab.errors import BadCounts, TooLarge
 from poplab.graph import generate_graph
 from poplab.neighbor import NEIGHBOR, NeighborState, bits, mask_of
@@ -214,7 +214,7 @@ def test_neighbor_safe_one_step_closure_and_spec():
         assert neighbor_safe(c, g, params)
         assert check_spec("neighbor", [NEIGHBOR.output(s) for s in c], g)
         for pair in g.directed_pairs:
-            after = apply_interaction(NEIGHBOR, g, c, pair, params)
+            after = replay(NEIGHBOR, g, c, [pair], params)
             assert neighbor_safe(after, g, params), (g.edges, pair, c, after)
 
 

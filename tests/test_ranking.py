@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poplab.engine import ProtocolParams, apply_interaction, checked_step
+from poplab.engine import ProtocolParams, checked_step, replay
 from poplab.errors import DomainViolation
 from poplab.graph import generate_graph
 from poplab.oracles import SafeLevel, classify_rank_config
@@ -185,7 +185,7 @@ def test_distinct_token_set_closed_one_step():
         params = ProtocolParams(n=n, tmax=rng.randint(1, 4))
         c = _random_distinct_token_config(rng, g, params)
         for pair in g.directed_pairs:
-            after = apply_interaction(RANKING, g, c, pair, params)
+            after = replay(RANKING, g, c, [pair], params)
             assert len({s.idT for s in after}) == n
 
 
@@ -199,7 +199,7 @@ def test_ranked_set_closed_one_step_and_outputs_frozen():
         c = _random_ranked_config(rng, g, params)
         assert classify_rank_config(c, params) is SafeLevel.RANKED
         for pair in g.directed_pairs:
-            after = apply_interaction(RANKING, g, c, pair, params)
+            after = replay(RANKING, g, c, [pair], params)
             assert [s.idA for s in after] == [s.idA for s in c]
             assert classify_rank_config(after, params) is SafeLevel.RANKED
 

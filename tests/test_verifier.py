@@ -5,12 +5,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from poplab.engine import Protocol, ProtocolParams, default_params
+from poplab.engine import Protocol, ProtocolParams, default_params, replay
 from poplab.errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
 from poplab.graph import generate_graph
 from poplab.neighbor import NEIGHBOR
 from poplab.oracles import SafeLevel, check_spec, classify_rank_config, safe_predicate
-from poplab.ranking import RANKING
+from poplab.ranking import RANKING, RED, RankState
 from poplab.verifier import (
     FIXED_OUTPUT,
     GREEDY_DEGREE,
@@ -18,10 +18,8 @@ from poplab.verifier import (
     Witness,
     _pair_tables,
     build_transition_graph,
-    configured_budget,
     final_sets,
     impossibility_witness,
-    replay_witness,
     verify_self_stabilizing,
     verify_transition_graph,
 )
@@ -51,6 +49,18 @@ def test_encode_decode_roundtrip():
     for key in (0, 1, 47, 48, 2303, 1234):
         states = tg.decode(key)
         assert tg.encode(states) == key
+
+
+def test_encode_rejects_out_of_range_fields():
+    # Packing idA=5 at n=2 would give a key past the space (two such agents)
+    # or silently another valid configuration (one such agent).
+    g = generate_graph("complete", 2)
+    tg = build_transition_graph(RANKING, g, ProtocolParams(n=2, tmax=1))
+    bad = RankState(5, 0, RED, RED, 0)
+    with pytest.raises(DomainViolation, match="^idA out of 0..1 "):
+        tg.encode([bad, bad])
+    with pytest.raises(DomainViolation, match="^idA out of 0..1 "):
+        tg.encode([bad, tg.decode(0)[1]])  # packed as key 124 before
 
 
 def test_successors_match_scalar_step():
@@ -107,15 +117,6 @@ def test_budget_override():
     params = ProtocolParams(n=2, tmax=1)
     with pytest.raises(TooLarge):
         build_transition_graph(RANKING, g, params, budget=1000)
-    assert configured_budget(123) == 123
-
-
-def test_budget_env_variable(monkeypatch):
-    monkeypatch.setenv("POPLAB_BUDGET", "5")
-    assert configured_budget() == 5
-    g = generate_graph("complete", 2)
-    with pytest.raises(TooLarge):
-        build_transition_graph(RANKING, g, ProtocolParams(n=2, tmax=1))
 
 
 def test_graph_params_mismatch():
@@ -283,7 +284,7 @@ def test_output_change_witness_is_replayable():
     assert isinstance(verdict, Witness)
     assert verdict.kind == "output_change"
     assert verdict.pairs
-    end = replay_witness(OSCILLATOR, verdict, params)
+    end = replay(OSCILLATOR, g, verdict.start, verdict.pairs, params)
     assert OSCILLATOR.output(end[verdict.agent]) == verdict.after
     assert OSCILLATOR.output(verdict.start[verdict.agent]) == verdict.before
     assert verdict.before != verdict.after
@@ -311,7 +312,7 @@ def test_impossibility_witness_greedy_degree():
     assert start_outputs[witness.agent] != p3.degree(witness.agent)
     assert witness.before == witness.after == start_outputs[witness.agent]
     # Replay is a no-op that reproduces the recorded outputs bit-exactly.
-    end = replay_witness(GREEDY_DEGREE, witness, params)
+    end = replay(GREEDY_DEGREE, p3, witness.start, witness.pairs, params)
     assert [GREEDY_DEGREE.output(s) for s in end] == start_outputs
 
 
