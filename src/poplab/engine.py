@@ -180,7 +180,7 @@ class ProtocolParams:
     ``n`` is the exact agent count (always required), ``m_known`` the exact
     unordered-pair count when given.  ``tmax`` paces token recoloring;
     ``pmax`` and ``emax`` pace the degree-sum audit and error propagation of
-    the neighbor protocol and are required whenever ``m_known`` is present.
+    the neighbor protocol: required with ``m_known``, rejected without it.
     """
 
     n: int
@@ -199,6 +199,8 @@ class ProtocolParams:
                 raise DomainViolation(f"need m >= 1, got {self.m_known}")
             if self.pmax is None or self.pmax < 1 or self.emax is None or self.emax < 1:
                 raise DomainViolation("pmax >= 1 and emax >= 1 are required when m is known")
+        elif self.pmax is not None or self.emax is not None:
+            raise DomainViolation("pmax and emax pace the neighbor audit, which needs m known")
 
     def to_json_fields(self) -> dict:
         return {"tmax": self.tmax, "pmax": self.pmax, "emax": self.emax}
@@ -227,7 +229,7 @@ def default_params(
         if emax is None:
             emax = 4 * n * n
         return ProtocolParams(n=n, m_known=m, tmax=tmax, pmax=pmax, emax=emax)
-    return ProtocolParams(n=n, tmax=tmax)
+    return ProtocolParams(n=n, tmax=tmax, pmax=pmax, emax=emax)
 
 
 def mix_seed(master_seed: int, index: int) -> int:

@@ -19,7 +19,9 @@ two sets take 2n bits of it and every other field a logarithmic number.
 The module's functions make up ``NEIGHBOR``, the protocol's one
 ``engine.Protocol`` record, whose state functions ``engine.state_codec``
 derives from ``FIELDS``; ``step`` is unchecked (validate states with
-``engine.checked_step``).
+``engine.checked_step``).  ``_audit`` is the Python twin of ``_loop.c``'s
+``audit``: ``step`` runs ``ranking.step`` and the signal, then applies it to
+each agent.
 """
 
 from __future__ import annotations
@@ -65,16 +67,32 @@ def validate_params(params) -> None:
         raise MissingKnowledge("neighbor recognition requires exact knowledge of m")
 
 
+def _audit(a: NeighborState, r: RankState, partner_idA: int, deg: int, nb: int, shared: int,
+           params) -> NeighborState:
+    """The neighbor body of agent a after its rank part has stepped to r: deg
+    is the payload of the token it now hosts, nb its neighbor set after the signal."""
+    cap = 2 * params.m_known + 1
+    p = a.timerP - 1 if a.timerP > 0 else 0
+    dsum, counted = a.dsum, a.counted
+    if p == 0:
+        dsum = 0
+        counted = 0
+        p = params.pmax
+    nb |= 1 << partner_idA
+    if r.idA == r.idT:
+        deg = nb.bit_count()
+    if not (counted >> r.idT) & 1:
+        dsum += deg
+        if dsum > cap:
+            dsum = cap
+        counted |= 1 << r.idT
+    reset = params.emax if dsum == cap else shared
+    return NeighborState(r, deg, dsum, reset, p, nb, counted)
+
+
 def step(a0: NeighborState, a1: NeighborState, params) -> tuple[NeighborState, NeighborState]:
     """One interaction without domain checks; a0 initiates, a1 responds."""
-    pmax = params.pmax
-    emax = params.emax
-    cap = 2 * params.m_known + 1
-
     r0, r1 = ranking.step(a0.rank, a1.rank, params)
-
-    # The degree payload travels with the physical token, renamed or not.
-    deg0, deg1 = a1.degreeT, a0.degreeT
 
     # Error-signal propagation: both agents adopt max(0, resetE - 1) of the
     # larger side, and a live signal wipes both neighbor sets before this
@@ -85,45 +103,10 @@ def step(a0: NeighborState, a1: NeighborState, params) -> tuple[NeighborState, N
     if shared > 0:
         nb0 = nb1 = 0
 
-    # Initiator body.
-    p0 = a0.timerP - 1 if a0.timerP > 0 else 0
-    dsum0 = a0.dsum
-    counted0 = a0.counted
-    if p0 == 0:
-        dsum0 = 0
-        counted0 = 0
-        p0 = pmax
-    nb0 |= 1 << r1.idA
-    if r0.idA == r0.idT:
-        deg0 = nb0.bit_count()
-    if not (counted0 >> r0.idT) & 1:
-        dsum0 = dsum0 + deg0
-        if dsum0 > cap:
-            dsum0 = cap
-        counted0 |= 1 << r0.idT
-    reset0 = emax if dsum0 == cap else shared
-
-    # Responder body, same lines.
-    p1 = a1.timerP - 1 if a1.timerP > 0 else 0
-    dsum1 = a1.dsum
-    counted1 = a1.counted
-    if p1 == 0:
-        dsum1 = 0
-        counted1 = 0
-        p1 = pmax
-    nb1 |= 1 << r0.idA
-    if r1.idA == r1.idT:
-        deg1 = nb1.bit_count()
-    if not (counted1 >> r1.idT) & 1:
-        dsum1 = dsum1 + deg1
-        if dsum1 > cap:
-            dsum1 = cap
-        counted1 |= 1 << r1.idT
-    reset1 = emax if dsum1 == cap else shared
-
+    # The degree payload travels with the physical token, renamed or not.
     return (
-        NeighborState(r0, deg0, dsum0, reset0, p0, nb0, counted0),
-        NeighborState(r1, deg1, dsum1, reset1, p1, nb1, counted1),
+        _audit(a0, r0, r1.idA, a1.degreeT, nb0, shared, params),
+        _audit(a1, r1, r0.idA, a0.degreeT, nb1, shared, params),
     )
 
 

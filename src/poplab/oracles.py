@@ -284,30 +284,35 @@ def _walk_draws(rng, npairs: int):
         yield from rng.integers(0, npairs, size=4096).tolist()
 
 
-def empirical_cover_time(g: Graph, w: int, trials: int, seed: int) -> Estimate:
-    """Steps until token w has visited every agent (Monte Carlo, tracker runs)."""
+def _walk_steps(g: Graph, w: int, trials: int, seed: int, done) -> Estimate:
+    """Steps until done(visited mask, moves) holds for token w, asked at start and per move."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pairs = g.directed_pairs
-    n = g.n
     samples = []
     for t in range(trials):
         draws = _walk_draws(np.random.default_rng(mix_seed(seed, t)), len(pairs))
         host = w
         visited = 1 << w
-        full = (1 << n) - 1
+        moves = 0
         steps = 0
-        while visited != full:
-            u, v = pairs[next(draws)]
-            steps += 1
-            if host == u:
-                host = v
-                visited |= 1 << v
-            elif host == v:
-                host = u
-                visited |= 1 << u
+        while not done(visited, moves):
+            while True:
+                u, v = pairs[next(draws)]
+                steps += 1
+                if host == u or host == v:
+                    break
+            host = v if host == u else u
+            visited |= 1 << host
+            moves += 1
         samples.append(steps)
     return _estimate(samples)
+
+
+def empirical_cover_time(g: Graph, w: int, trials: int, seed: int) -> Estimate:
+    """Steps until token w has visited every agent (Monte Carlo, tracker runs)."""
+    full = (1 << g.n) - 1
+    return _walk_steps(g, w, trials, seed, lambda visited, moves: visited == full)
 
 
 def empirical_move_count_steps(g: Graph, w: int, k: int, trials: int, seed: int) -> Estimate:
@@ -318,26 +323,7 @@ def empirical_move_count_steps(g: Graph, w: int, k: int, trials: int, seed: int)
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    pairs = g.directed_pairs
-    samples = []
-    for t in range(trials):
-        draws = _walk_draws(np.random.default_rng(mix_seed(seed, t)), len(pairs))
-        host = w
-        steps = 0
-        moves = 0
-        while moves < k:
-            u, v = pairs[next(draws)]
-            steps += 1
-            if host == u:
-                host = v
-                moves += 1
-            elif host == v:
-                host = u
-                moves += 1
-        samples.append(steps)
-    return _estimate(samples)
+    return _walk_steps(g, w, trials, seed, lambda visited, moves: moves == k)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ tiny ``tmax``, just slower, which the model checker exploits.
 The module's functions make up ``RANKING``, the protocol's one
 ``engine.Protocol`` record, whose state functions ``engine.state_codec``
 derives from the field table ``FIELDS``; ``step`` is unchecked (validate
-states with ``engine.checked_step``).
+states with ``engine.checked_step``).  ``_host`` is the Python twin of
+``_loop.c``'s ``host``: ``step`` swaps the tokens and applies it to each agent.
 """
 
 from __future__ import annotations
@@ -49,10 +50,28 @@ def validate_params(params) -> None:
         raise DomainViolation(f"need n >= 2 and tmax >= 1, got {params}")
 
 
+def _host(a: RankState, idT: int, cT: int, tT: int, n: int, tmax: int) -> RankState:
+    """The agent side of a step: agent a now hosts the token (idT, cT, tT)."""
+    idA, cA = a.idA, a.colorA
+    if idA == idT:
+        if cA == WHITE:
+            cA = cT
+        if cA != cT:
+            # Stale color: some other agent owns this label.  Move on, white.
+            idA += 1
+            if idA == n:
+                idA = 0
+            cA = WHITE
+        elif tT == 0:
+            # Periodic recoloring: agent and auditor token flip together.
+            tT = tmax
+            cA = cT = BLUE if cA == RED else RED
+    return RankState(idA, idT, cA, cT, tT)
+
+
 def step(a0: RankState, a1: RankState, params) -> tuple[RankState, RankState]:
     """One interaction without domain checks; a0 initiates, a1 responds."""
     n = params.n
-    tmax = params.tmax
 
     # Swap the token triples: the random walk itself.
     idT0, cT0, tT0 = a1.idT, a1.colorT, a1.timerT
@@ -70,37 +89,9 @@ def step(a0: RankState, a1: RankState, params) -> tuple[RankState, RankState]:
     if tT1 > 0:
         tT1 -= 1
 
-    idA0, cA0 = a0.idA, a0.colorA
-    if idA0 == idT0:
-        if cA0 == WHITE:
-            cA0 = cT0
-        if cA0 != cT0:
-            # Stale color: some other agent owns this label.  Move on, white.
-            idA0 += 1
-            if idA0 == n:
-                idA0 = 0
-            cA0 = WHITE
-        elif tT0 == 0:
-            # Periodic recoloring: agent and auditor token flip together.
-            tT0 = tmax
-            cA0 = cT0 = BLUE if cA0 == RED else RED
-
-    idA1, cA1 = a1.idA, a1.colorA
-    if idA1 == idT1:
-        if cA1 == WHITE:
-            cA1 = cT1
-        if cA1 != cT1:
-            idA1 += 1
-            if idA1 == n:
-                idA1 = 0
-            cA1 = WHITE
-        elif tT1 == 0:
-            tT1 = tmax
-            cA1 = cT1 = BLUE if cA1 == RED else RED
-
     return (
-        RankState(idA0, idT0, cA0, cT0, tT0),
-        RankState(idA1, idT1, cA1, cT1, tT1),
+        _host(a0, idT0, cT0, tT0, n, params.tmax),
+        _host(a1, idT1, cT1, tT1, n, params.tmax),
     )
 
 

@@ -172,6 +172,8 @@ RUN = ("run", "--protocol", "ranking", "--graph", "path:3")
     ("verify", "--protocol", "greedydegree", "--impossibility", "path:3,complete:3",
      "--tmax", "-1"),
     ("run", "--protocol", "ranking", "--graph", "path:3@x"),
+    (*RUN, "--pmax", "5"),
+    (*RUN, "--emax", "3"),
     ("sweep", "--protocol", "ranking", "--kinds", "path", "--ns", "3,x"),
     ("game", "--states", "a"),
     ("game", "--counts", "1,x"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poplab import _compiled, engine
+from poplab import _compiled, engine, neighbor, ranking
 from poplab.engine import (
     Protocol,
     ProtocolParams,
@@ -322,6 +322,43 @@ def test_compiled_loop_matches_python_loop(compiled, protocol):
         res = assert_same_run(protocol, g, params, i, max_steps, closure_window, pred)
         outcomes.add((res.steps_to_safe is None, res.closure_ok))
     assert outcomes == {(True, None), (False, True), (False, False)}
+
+
+def assert_same_step(protocol, g, params, state_pairs):
+    """One compiled step of pair (0, 1) equals protocol.step on each state pair."""
+    module = neighbor if protocol is NEIGHBOR else ranking
+    assert g.directed_pairs[0] == (0, 1)
+    loop = _compiled.CompiledLoop(_compiled.library(), protocol, g, params,
+                                  [state_pairs[0][0]] * g.n)
+    block = np.zeros(1, dtype=np.int64)  # one step of pair index 0
+    mismatches = []
+    for s0, s1 in state_pairs:
+        loop._states[0] = module.flatten(s0)  # the C rows, written in place
+        loop._states[1] = module.flatten(s1)
+        assert loop.closure(block)[0] == 1
+        got = tuple(loop.states()[:2])
+        if got != protocol.step(s0, s1, params):
+            mismatches.append((s0, s1, got))
+    assert mismatches == []
+
+
+def test_compiled_step_matches_ranking_step_on_every_state_pair(compiled):
+    # Seeded runs reach only some states; this covers all 162 x 162 pairs of
+    # states at n = 3, tmax = 2.
+    params = ProtocolParams(n=3, tmax=2)
+    states = [RANKING.state_from_index(i, params) for i in range(RANKING.state_count(params))]
+    pairs = [(s0, s1) for s0 in states for s1 in states]
+    assert len(pairs) == 26_244
+    assert_same_step(RANKING, generate_graph("complete", 3), params, pairs)
+
+
+def test_compiled_step_matches_neighbor_step_on_random_state_pairs(compiled):
+    g = generate_graph("cycle", 5)
+    params = default_params(g, know_m=True, tmax=2, pmax=3, emax=3)
+    rng = np.random.default_rng(2024)
+    pairs = [(NEIGHBOR.random_state(rng, params), NEIGHBOR.random_state(rng, params))
+             for _ in range(5000)]
+    assert_same_step(NEIGHBOR, g, params, pairs)
 
 
 def safe_neighbor_config(g, params):
