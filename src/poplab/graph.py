@@ -8,7 +8,6 @@ count ``m`` counts unordered interactable pairs, so there are ``2m`` directed
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import random
 from dataclasses import dataclass
@@ -159,16 +158,16 @@ def generate_graph(kind: str, n: int, m: int | None = None, seed: int = 0) -> Gr
         raise Infeasible(n, m, f"need n-1 <= m <= {max_m}")
     rng = random.Random(seed)
     tree = _random_spanning_tree(n, rng)
-    # random.sample reads only the length and the picked indices, so picking
-    # indices into the lexicographic non-tree pairs draws what sampling their
-    # list would; pair (u, v), u < v, is at position row[u] + v - u - 1.
-    row = [u * (2 * n - u - 1) // 2 for u in range(n)]
-    taken = sorted(row[u] + v - u - 1 for u, v in tree)
-    below = [pos - i for i, pos in enumerate(taken)]  # non-tree pairs before each tree pair
-    for i in rng.sample(range(max_m - (n - 1)), m - (n - 1)):
-        pos = i + bisect.bisect_right(below, i)
-        u = bisect.bisect_right(row, pos) - 1
-        tree.append((u, pos - row[u] + u + 1))
+    tree_set = set(tree)
+    extras = m - (n - 1)
+    if extras:
+        complement = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (u, v) not in tree_set
+        ]
+        tree.extend(rng.sample(complement, extras))
     return build_graph(tree, n)
 
 

@@ -288,6 +288,8 @@ def _walk_steps(g: Graph, w: int, trials: int, seed: int, done) -> Estimate:
     """Steps until done(visited mask, moves) holds for token w, asked at start and per move."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= w < g.n:
+        raise ValueError(f"start agent {w} is not an agent of a graph with {g.n} agents")
     pairs = g.directed_pairs
     samples = []
     for t in range(trials):

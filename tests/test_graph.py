@@ -4,7 +4,6 @@ import pytest
 
 from poplab.errors import BadId, Infeasible, NotConnected, NotSimple
 from poplab.graph import (
-    _random_spanning_tree,
     build_graph,
     dump_edge_list,
     generate_graph,
@@ -104,27 +103,6 @@ def test_random_connected_thousand_feasible_cases():
         m = rng.randint(n - 1, n * (n - 1) // 2)
         g = generate_graph("random_connected", n, m, seed=rng.getrandbits(48))
         assert g.n == n and g.m == m
-
-
-def complement_list_graph(n, m, seed):
-    """random_connected as drawn from the full list of non-tree pairs."""
-    rng = random.Random(seed)
-    tree = _random_spanning_tree(n, rng)
-    tree_set = set(tree)
-    complement = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree_set]
-    tree.extend(rng.sample(complement, m - (n - 1)))
-    return build_graph(tree, n)
-
-
-@pytest.mark.parametrize("n,m", [(5, 7), (9, 30), (12, 66), (40, 200), (64, 128), (200, 400)])
-def test_random_connected_draws_the_complement_list_edges(n, m):
-    # Sampling indices into the non-tree pairs must pick the edges that
-    # sampling the list of them picks, seed for seed.  At n = 64 and 200,
-    # random.sample takes its set-based branch, which no other test reaches
-    # with a check of the edges drawn.
-    for seed in range(4):
-        expected = complement_list_graph(n, m, seed).edges
-        assert generate_graph("random_connected", n, m, seed=seed).edges == expected
 
 
 def test_rebuild_roundtrip():

@@ -330,6 +330,17 @@ def test_estimator_input_validation():
         empirical_move_count_steps(g, 0, k=0, trials=5, seed=0)
 
 
+@pytest.mark.parametrize("w", [-1, 3])
+def test_estimators_reject_a_start_agent_outside_the_graph(w):
+    # No pair moves a token on an agent the graph lacks, so the walk would
+    # draw forever.
+    g = generate_graph("path", 3)
+    with pytest.raises(ValueError):
+        empirical_cover_time(g, w, trials=1, seed=0)
+    with pytest.raises(ValueError):
+        empirical_move_count_steps(g, w, k=1, trials=1, seed=0)
+
+
 # --- the collision game -----------------------------------------------------------
 
 
