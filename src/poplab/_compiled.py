@@ -72,14 +72,14 @@ def library():
         return None
 
 
-def fits(protocol, params) -> bool:
-    """Do n and every param the step reads fit the C fields?"""
-    if params.n > MAX_AGENTS:
-        return False
-    values = [params.tmax]
-    if protocol.name == "neighbor":
-        values += [params.pmax, params.emax, params.m_known]
-    return all(0 <= v < MAX_PARAM for v in values)
+def _params_row(params) -> list[int]:
+    """The params in the C header, after n and the protocol flag; an absent one is 0."""
+    return [params.tmax, params.pmax or 0, params.emax or 0, params.m_known or 0]
+
+
+def fits(params) -> bool:
+    """Do n and every param of the C header fit the C fields?"""
+    return params.n <= MAX_AGENTS and all(0 <= v < MAX_PARAM for v in _params_row(params))
 
 
 class CompiledLoop:
@@ -88,22 +88,20 @@ class CompiledLoop:
     Same interface as ``engine``'s Python loop: ``converge(block)`` and
     ``closure(block)`` return (pairs consumed, stopped on the condition), and
     ``states()`` the configuration as the protocol's NamedTuples.  A row of
-    C memory is one agent's ``flatten``ed state, in its module's field order.
+    C memory is one agent's state as ``protocol.flatten`` gives it, in the
+    order of ``protocol.fields``.
     """
 
     def __init__(self, advance, protocol, g, params, states):
-        is_neighbor = protocol is neighbor.NEIGHBOR
-        module = neighbor if is_neighbor else ranking
-        self._unflatten = module.unflatten
+        self._unflatten = protocol.unflatten
         self._advance = advance
         # The arrays stay referenced by self for as long as C reads them.
         self._cfg = np.array(
-            [g.n, is_neighbor, params.tmax, params.pmax or 0,
-             params.emax or 0, params.m_known or 0], dtype=np.int64)
+            [g.n, protocol is PROTOCOLS["neighbor"], *_params_row(params)], dtype=np.int64)
         self._pairs = np.array(g.directed_pairs, dtype=np.int64).reshape(-1)
         self._adj_start = np.cumsum([0] + [len(a) for a in g.adjacency], dtype=np.int64)
         self._adj = np.array([u for a in g.adjacency for u in a], dtype=np.int64)
-        self._states = np.array([module.flatten(s) for s in states], dtype=np.uint64)
+        self._states = np.array([protocol.flatten(s) for s in states], dtype=np.uint64)
         self._hit = np.zeros(1, dtype=np.int64)
         self._args = tuple(a.ctypes.data for a in (
             self._cfg, self._pairs, self._adj_start, self._adj, self._states))

@@ -37,7 +37,7 @@ PROTOCOLS = {
 }
 
 
-class SpecError(Exception):
+class SpecError(PoplabError):
     """Bad command-line specification (exit code 2)."""
 
 
@@ -101,8 +101,8 @@ def _require_seed(args) -> int:
 
 
 def _params_for(protocol, g, args) -> engine.ProtocolParams:
-    know_m = protocol.name == "neighbor" or args.know_m
-    return engine.default_params(g, know_m=know_m, tmax=args.tmax, pmax=args.pmax, emax=args.emax)
+    return engine.default_params(g, know_m=protocol.needs_m or args.know_m,
+                                 tmax=args.tmax, pmax=args.pmax, emax=args.emax)
 
 
 def _reference_steps(g, params) -> float:
@@ -194,6 +194,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    try:
+        return _verify(args)
+    except TooLarge as exc:
+        _emit({"record": "error", "error": "TooLarge", "detail": str(exc)})
+        return EXIT_TOO_LARGE
+
+
+def _verify(args) -> int:
     seed = _require_seed(args)
     protocol = PROTOCOLS[args.protocol]
     if args.impossibility:
@@ -207,24 +215,17 @@ def cmd_verify(args) -> int:
             witness = verifier.impossibility_witness(protocol, g_sub, g_super, params, args.budget)
         except ValueError as exc:  # not a strict subgraph on one agent set
             raise SpecError(f"--impossibility {args.impossibility}: {exc}") from exc
-        except TooLarge as exc:
-            _emit({"record": "error", "error": "TooLarge", "detail": str(exc)})
-            return EXIT_TOO_LARGE
         _emit({"record": "impossibility", "witness": witness.to_json(protocol)})
         return EXIT_WITNESS
 
     if not args.graph:
         raise SpecError("verify needs --graph (or --impossibility)")
     g = parse_graph_spec(args.graph, seed)
-    if protocol.name == "neighbor":
+    if protocol.needs_m:
         params = engine.default_params(g, know_m=True, tmax=args.tmax)
     else:
         params = engine.ProtocolParams(n=g.n, tmax=1 if args.tmax is None else args.tmax)
-    try:
-        tg = verifier.build_transition_graph(protocol, g, params, args.budget)
-    except TooLarge as exc:
-        _emit({"record": "error", "error": "TooLarge", "detail": str(exc)})
-        return EXIT_TOO_LARGE
+    tg = verifier.build_transition_graph(protocol, g, params, args.budget)
     fsets = verifier.final_sets(tg)
     verdict = verifier.verify_transition_graph(tg, fsets, oracles.safe_predicate(protocol, g, params))
     report = {
@@ -379,9 +380,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

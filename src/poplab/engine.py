@@ -1,11 +1,11 @@
-"""Execution engine: the protocol interface, the state codec, the scheduler, trials, replay.
+"""Execution engine: the protocol record, the scheduler, trials, replay.
 
-Every protocol is one ``Protocol`` record of functions whose ``step`` is
+Every protocol is one ``Protocol`` record: its state's field table, its
+functions and whether it needs exact knowledge of m.  Its ``step`` is
 unchecked; ``checked_step`` is the single place that validates both endpoint
 states before stepping.  The engine reaches a protocol by attribute only.
-Each protocol declares its state's fields once, and ``state_codec`` derives
-the record's state functions (validation, count, index, uniform draw) from
-that table.
+The record derives its state functions (validation, count, index, uniform
+draw) from the field table.
 
 A configuration is a plain tuple of per-agent states (agent id = index).
 One step = one interaction: a directed pair (initiator, responder) drawn
@@ -45,44 +45,12 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainViolation, NotAnEdge
+from .errors import DomainViolation, MissingKnowledge, NotAnEdge
 from .graph import Graph
 
 DEFAULT_CLOSURE_WINDOW = 100_000
 _BLOCK = 8192
 _INT64_BOUND = 1 << 63  # the largest size rng.integers(0, size) takes
-
-
-@dataclass(frozen=True)
-class Protocol:
-    """The interface every protocol implements, as a record of its functions.
-
-    ``step(s0, s1, params)`` is one interaction (s0 initiates, s1 responds)
-    without domain checks; wrap it in ``checked_step`` for untrusted states.
-    ``validate_params(params)`` and ``validate_state(s, params)`` raise on
-    out-of-domain input.  ``state_count``, ``state_to_index`` and
-    ``state_from_index`` number the per-agent states 0..q-1 (the verifier's
-    packing order), ``random_state(rng, params)`` draws one uniformly,
-    ``output(s)`` is the agent's claim and ``to_json(s)`` renders a state.
-    """
-
-    name: str
-    validate_params: Callable[[Any], None]
-    validate_state: Callable[[Any, Any], None]
-    state_count: Callable[[Any], int]
-    state_to_index: Callable[[Any, Any], int]
-    state_from_index: Callable[[int, Any], Any]
-    random_state: Callable[[np.random.Generator, Any], Any]
-    step: Callable[[Any, Any, Any], tuple]
-    output: Callable[[Any], Any]
-    to_json: Callable[[Any], dict]
-
-
-def checked_step(protocol, s0, s1, params) -> tuple:
-    """One interaction with both endpoint states validated first."""
-    protocol.validate_state(s0, params)
-    protocol.validate_state(s1, params)
-    return protocol.step(s0, s1, params)
 
 
 class Field(NamedTuple):
@@ -113,64 +81,87 @@ def random_below(rng: np.random.Generator, size: int) -> int:
             return value
 
 
-def state_codec(fields: Sequence[Field], flatten, unflatten, validate_params) -> dict:
-    """The five state functions of a ``Protocol``, from its ordered field table.
+@dataclass(frozen=True)
+class Protocol:
+    """The whole description of a protocol: its state's field table and its functions.
 
-    ``flatten(s)`` gives a state's field values in table order and
-    ``unflatten(values)`` rebuilds the state from them.  ``state_to_index``
-    and ``validate_state`` raise DomainViolation naming the first field
-    outside lo..lo+size-1.  The state index is mixed radix over the offsets
-    value - lo, first field most significant, so ``state_count`` is the
-    product of the sizes and the index of a state never needs more bits than
-    its fields' binary widths together.  ``random_state`` draws the fields in table order, one
-    ``random_below`` each.  Every function validates params first: the sizes
-    come from ``validate_params`` and then the table, computed again only
-    when a call passes another params object than the call before (params
-    are frozen), so a run that reuses its params pays for them once.
+    ``fields`` is the per-agent state's ordered field table; ``flatten(s)``
+    gives a state's field values in table order and ``unflatten(values)``
+    rebuilds the state from them.  ``step(s0, s1, params)`` is one
+    interaction (s0 initiates, s1 responds) without domain checks; wrap it
+    in ``checked_step`` for untrusted states.  ``output(s)`` is the agent's
+    claim and ``to_json(s)`` renders a state.  ``needs_m`` declares that the
+    protocol needs exact knowledge of the pair count m.
+
+    The state functions are derived from the table.  ``state_to_index`` and
+    ``validate_state`` raise DomainViolation naming the first field outside
+    lo..lo+size-1.  The state index (the verifier's packing order) is mixed
+    radix over the offsets value - lo, first field most significant, so
+    ``state_count`` is the product of the sizes and the index of a state
+    never needs more bits than its fields' binary widths together.
+    ``random_state`` draws the fields in table order, one ``random_below``
+    each.  Every state function validates params first: the sizes come from
+    ``validate_params`` and then the table, computed again only when a call
+    passes another params object than the call before (params are frozen),
+    so a run that reuses its params pays for them once.
     """
-    names = tuple(f.name for f in fields)
-    los = tuple(f.lo for f in fields)
-    latest = [(None, ())]  # (params, sizes) of the latest call, read and replaced whole
 
-    def sizes(params) -> tuple[int, ...]:
-        seen, radices = latest[0]
+    name: str
+    fields: tuple[Field, ...]
+    flatten: Callable[[Any], Sequence[int]]
+    unflatten: Callable[[Sequence[int]], Any]
+    step: Callable[[Any, Any, Any], tuple]
+    output: Callable[[Any], Any]
+    to_json: Callable[[Any], dict]
+    needs_m: bool = False
+
+    _latest = (object(), ())  # (params, sizes) of the latest call; not a field, set per record
+
+    def validate_params(self, params) -> None:
+        """Raise MissingKnowledge when the protocol needs m and ``params`` does not carry it."""
+        if self.needs_m and params.m_known is None:
+            raise MissingKnowledge(f"{self.name} requires exact knowledge of m")
+
+    def _sizes(self, params) -> tuple[int, ...]:
+        seen, radices = self._latest
         if seen is not params:
-            validate_params(params)
-            radices = tuple(f.size(params) for f in fields)
-            latest[0] = (params, radices)
+            self.validate_params(params)
+            radices = tuple(f.size(params) for f in self.fields)
+            object.__setattr__(self, "_latest", (params, radices))
         return radices
 
-    def state_to_index(s, params) -> int:
+    def state_to_index(self, s, params) -> int:
         i = 0
-        for name, lo, size, value in zip(names, los, sizes(params), flatten(s), strict=True):
+        for (name, lo, _), size, value in zip(self.fields, self._sizes(params), self.flatten(s),
+                                              strict=True):
             if not lo <= value < lo + size:
                 raise DomainViolation(f"{name} out of {lo}..{lo + size - 1} in {s}")
             i = i * size + (value - lo)
         return i
 
-    def validate_state(s, params) -> None:
-        state_to_index(s, params)
+    def validate_state(self, s, params) -> None:
+        self.state_to_index(s, params)
 
-    def state_count(params) -> int:
-        return math.prod(sizes(params))
+    def state_count(self, params) -> int:
+        return math.prod(self._sizes(params))
 
-    def state_from_index(i: int, params):
+    def state_from_index(self, i: int, params):
         digits = []
-        for size in reversed(sizes(params)):
+        for size in reversed(self._sizes(params)):
             i, digit = divmod(i, size)
             digits.append(digit)
-        return unflatten([lo + digit for lo, digit in zip(los, reversed(digits))])
+        return self.unflatten([f.lo + digit for f, digit in zip(self.fields, reversed(digits))])
 
-    def random_state(rng, params):
-        return unflatten([lo + random_below(rng, size) for lo, size in zip(los, sizes(params))])
+    def random_state(self, rng: np.random.Generator, params):
+        return self.unflatten(
+            [f.lo + random_below(rng, size) for f, size in zip(self.fields, self._sizes(params))])
 
-    return {
-        "validate_state": validate_state,
-        "state_count": state_count,
-        "state_to_index": state_to_index,
-        "state_from_index": state_from_index,
-        "random_state": random_state,
-    }
+
+def checked_step(protocol, s0, s1, params) -> tuple:
+    """One interaction with both endpoint states validated first."""
+    protocol.validate_state(s0, params)
+    protocol.validate_state(s1, params)
+    return protocol.step(s0, s1, params)
 
 
 @dataclass(frozen=True)
@@ -373,7 +364,7 @@ def _compiled_loop(protocol, g: Graph, params, c0, safe_predicate):
         protocol is not _compiled.PROTOCOLS.get(name)
         or pred_params.n != params.n
         or (pred_g is not None and pred_g != g)
-        or not _compiled.fits(protocol, params)
+        or not _compiled.fits(params)
     ):
         return None
     advance = _compiled.library()

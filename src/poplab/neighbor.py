@@ -16,12 +16,12 @@ Neighbor and counted sets are stored as bitmasks over labels 0..n-1, so the
 state index of ``FIELDS`` realizes the O(n)-bits-per-agent memory claim: the
 two sets take 2n bits of it and every other field a logarithmic number.
 
-The module's functions make up ``NEIGHBOR``, the protocol's one
-``engine.Protocol`` record, whose state functions ``engine.state_codec``
-derives from ``FIELDS``; ``step`` is unchecked (validate states with
-``engine.checked_step``).  ``_audit`` is the Python twin of ``_loop.c``'s
-``audit``: ``step`` runs ``ranking.step`` and the signal, then applies it to
-each agent.
+The module's field table ``FIELDS`` and functions make up ``NEIGHBOR``, the
+protocol's one ``engine.Protocol`` record, which declares that it needs
+exact knowledge of m and derives its state functions from the table;
+``step`` is unchecked (validate states with ``engine.checked_step``).
+``_audit`` is the Python twin of ``_loop.c``'s ``audit``: ``step`` runs
+``ranking.step`` and the signal, then applies it to each agent.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from . import ranking
-from .engine import Field, Protocol, state_codec
-from .errors import MissingKnowledge
+from .engine import Field, Protocol
 from .ranking import RankState
 
 
@@ -59,12 +58,6 @@ def mask_of(labels) -> int:
     for x in labels:
         out |= 1 << x
     return out
-
-
-def validate_params(params) -> None:
-    ranking.validate_params(params)
-    if params.m_known is None:
-        raise MissingKnowledge("neighbor recognition requires exact knowledge of m")
 
 
 def _audit(a: NeighborState, r: RankState, partner_idA: int, deg: int, nb: int, shared: int,
@@ -172,9 +165,11 @@ def unflatten(values) -> NeighborState:
 
 NEIGHBOR = Protocol(
     name="neighbor",
-    validate_params=validate_params,
-    **state_codec(FIELDS, flatten, unflatten, validate_params),
+    fields=FIELDS,
+    flatten=flatten,
+    unflatten=unflatten,
     step=step,
     output=output,
     to_json=to_json,
+    needs_m=True,
 )

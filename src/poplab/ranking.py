@@ -18,10 +18,10 @@ mechanisms drive the system to distinct labels 0..n-1:
 ``timerT`` only paces the recoloring: the protocol is also correct with a
 tiny ``tmax``, just slower, which the model checker exploits.
 
-The module's functions make up ``RANKING``, the protocol's one
-``engine.Protocol`` record, whose state functions ``engine.state_codec``
-derives from the field table ``FIELDS``; ``step`` is unchecked (validate
-states with ``engine.checked_step``).  ``_host`` is the Python twin of
+The module's field table ``FIELDS`` and functions make up ``RANKING``, the
+protocol's one ``engine.Protocol`` record, which derives its state
+functions from the table; ``step`` is unchecked (validate states with
+``engine.checked_step``).  ``_host`` is the Python twin of
 ``_loop.c``'s ``host``: ``step`` swaps the tokens and applies it to each agent.
 """
 
@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .engine import Field, Protocol, state_codec
-from .errors import DomainViolation
+from .engine import Field, Protocol
 
 WHITE, RED, BLUE = 0, 1, 2
 COLOR_NAMES = {WHITE: "white", RED: "red", BLUE: "blue"}
@@ -43,11 +42,6 @@ class RankState(NamedTuple):
     colorA: int  # agent color: WHITE, RED or BLUE
     colorT: int  # token color: RED or BLUE
     timerT: int  # token recoloring timer, 0..tmax
-
-
-def validate_params(params) -> None:
-    if params.n < 2 or params.tmax < 1:
-        raise DomainViolation(f"need n >= 2 and tmax >= 1, got {params}")
 
 
 def _host(a: RankState, idT: int, cT: int, tT: int, n: int, tmax: int) -> RankState:
@@ -141,8 +135,9 @@ unflatten = RankState._make
 
 RANKING = Protocol(
     name="ranking",
-    validate_params=validate_params,
-    **state_codec(FIELDS, flatten, unflatten, validate_params),
+    fields=FIELDS,
+    flatten=flatten,
+    unflatten=unflatten,
     step=step,
     output=output,
     to_json=to_json,

@@ -10,7 +10,7 @@ witnesses that a degree-claiming protocol cannot be self-stabilizing.
 Configurations are packed into integers by mixed radix: agent 0 is the least
 significant digit, each digit being the protocol's per-agent state index.
 The packing is stable across runs (each protocol's field table fixes the
-order of its state index; see ``engine.state_codec``).
+order of its state index; see ``engine.Protocol``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .engine import Field, Protocol, state_codec
+from .engine import Field, Protocol
 from .errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
 from .graph import Graph
 from .neighbor import bits
@@ -409,11 +409,6 @@ class GreedyDegreeState(NamedTuple):
     seen: int  # bitmask of partner labels accumulated so far
 
 
-def _need_two_agents(params) -> None:
-    if params.n < 2:
-        raise DomainViolation("need n >= 2")
-
-
 def _greedy_step(s0: GreedyDegreeState, s1: GreedyDegreeState, params):
     return (
         GreedyDegreeState(s0.label, s0.seen | (1 << s1.label)),
@@ -428,12 +423,10 @@ def _greedy_step(s0: GreedyDegreeState, s1: GreedyDegreeState, params):
 # impossibility search exploits.
 GREEDY_DEGREE = Protocol(
     name="greedydegree",
-    validate_params=_need_two_agents,
-    **state_codec(
-        (Field("label", 0, lambda params: params.n),
-         Field("seen", 0, lambda params: 1 << params.n)),
-        lambda s: s, GreedyDegreeState._make, _need_two_agents,
-    ),
+    fields=(Field("label", 0, lambda params: params.n),
+            Field("seen", 0, lambda params: 1 << params.n)),
+    flatten=lambda s: s,
+    unflatten=GreedyDegreeState._make,
     step=_greedy_step,
     output=lambda s: s.seen.bit_count(),
     to_json=lambda s: {"label": s.label, "seen": sorted(bits(s.seen))},
@@ -445,11 +438,9 @@ GREEDY_DEGREE = Protocol(
 # different graph.
 FIXED_OUTPUT = Protocol(
     name="fixedoutput",
-    validate_params=_need_two_agents,
-    **state_codec(
-        (Field("claim", 0, lambda params: params.n + 1),),
-        lambda s: (s,), lambda values: values[0], _need_two_agents,
-    ),
+    fields=(Field("claim", 0, lambda params: params.n + 1),),
+    flatten=lambda s: (s,),
+    unflatten=lambda values: values[0],
     step=lambda s0, s1, params: (s0, s1),
     output=lambda s: s,
     to_json=lambda s: {"claim": s},

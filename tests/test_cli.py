@@ -396,3 +396,29 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["stable"] == [0]
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--pmax", "99999999999999999999"),
+    ("--emax", "9223372036854775808"),
+])
+def test_run_ranking_with_a_param_beyond_the_compiled_header(capsys, option, value):
+    # The compiled loop's header holds every param, so a ranking run with m
+    # known and a ceiling past its int64 fields takes the Python loop.
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", "ranking", "--graph", "complete:3", "--know-m",
+        option, value, "--trials", "1",
+    )
+    assert code == 0
+    assert err == ""
+    assert json_lines(out)[0][option[2:]] == int(value)
+
+
+def test_run_know_m_sizes_tmax_from_m(capsys):
+    argv = ("run", "--protocol", "ranking", "--graph", "complete:3", "--trials", "1", "--seed", "0")
+    code, out, _ = run_cli(capsys, *argv, "--know-m")
+    assert code == 0
+    assert json_lines(out)[0]["tmax"] == 36  # 4mn
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json_lines(out)[0]["tmax"] == 54  # 2n^3

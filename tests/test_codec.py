@@ -1,4 +1,4 @@
-"""The state codec every protocol derives from its field table (``engine.state_codec``)."""
+"""The state codec every ``engine.Protocol`` record derives from its field table."""
 
 import hashlib
 import json

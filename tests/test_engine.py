@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poplab import _compiled, engine, neighbor, ranking
+from poplab import _compiled, engine
 from poplab.engine import (
+    Field,
     Protocol,
     ProtocolParams,
     default_params,
@@ -26,12 +27,9 @@ from poplab.ranking import BLUE, RANKING, RED, RankState
 # Transition returns its inputs; output is the whole state.
 IDENTITY = Protocol(
     name="identity",
-    validate_params=lambda params: None,
-    validate_state=lambda s, params: None,
-    state_count=lambda params: 10,
-    state_to_index=lambda s, params: s,
-    state_from_index=lambda i, params: i,
-    random_state=lambda rng, params: int(rng.integers(0, 10)),
+    fields=(Field("value", 0, lambda params: 32),),
+    flatten=lambda s: (s,),
+    unflatten=lambda values: values[0],
     step=lambda s0, s1, params: (s0, s1),
     output=lambda s: s,
     to_json=lambda s: {"value": s},
@@ -326,15 +324,14 @@ def test_compiled_loop_matches_python_loop(compiled, protocol):
 
 def assert_same_step(protocol, g, params, state_pairs):
     """One compiled step of pair (0, 1) equals protocol.step on each state pair."""
-    module = neighbor if protocol is NEIGHBOR else ranking
     assert g.directed_pairs[0] == (0, 1)
     loop = _compiled.CompiledLoop(_compiled.library(), protocol, g, params,
                                   [state_pairs[0][0]] * g.n)
     block = np.zeros(1, dtype=np.int64)  # one step of pair index 0
     mismatches = []
     for s0, s1 in state_pairs:
-        loop._states[0] = module.flatten(s0)  # the C rows, written in place
-        loop._states[1] = module.flatten(s1)
+        loop._states[0] = protocol.flatten(s0)  # the C rows, written in place
+        loop._states[1] = protocol.flatten(s1)
         assert loop.closure(block)[0] == 1
         got = tuple(loop.states()[:2])
         if got != protocol.step(s0, s1, params):
@@ -406,6 +403,11 @@ def test_dispatch_takes_the_python_loop_unless_every_condition_holds(compiled):
     rank_params = default_params(g)
     rank_c0 = sample_uniform_config(RANKING, rank_params, 0)
     assert engine._compiled_loop(RANKING, g, rank_params, rank_c0, pred) is None
+    # Ranking with m known packs pmax, emax and m into the C header too.
+    rank_huge = default_params(g, know_m=True, pmax=1 << 62)
+    rank_huge_c0 = sample_uniform_config(RANKING, rank_huge, 0)
+    assert engine._compiled_loop(RANKING, g, rank_huge, rank_huge_c0,
+                                 rank_safe_predicate(rank_huge)) is None
     g65 = generate_graph("path", 65)
     params65 = default_params(g65)
     c65 = sample_uniform_config(RANKING, params65, 0)

@@ -5,7 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from poplab.engine import Protocol, ProtocolParams, default_params, replay
+from poplab.engine import Field, Protocol, ProtocolParams, default_params, replay
 from poplab.errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
 from poplab.graph import generate_graph
 from poplab.neighbor import NEIGHBOR
@@ -257,20 +257,12 @@ def test_greedy_degree_fails_verification_with_witness():
     }
 
 
-def _validate_bit(s, params):
-    if s not in (0, 1):
-        raise DomainViolation(str(s))
-
-
 # Deliberately unstable toy: both parties toggle a bit; output = bit.
 OSCILLATOR = Protocol(
     name="oscillator",
-    validate_params=lambda params: None,
-    validate_state=_validate_bit,
-    state_count=lambda params: 2,
-    state_to_index=lambda s, params: s,
-    state_from_index=lambda i, params: i,
-    random_state=lambda rng, params: int(rng.integers(0, 2)),
+    fields=(Field("bit", 0, lambda params: 2),),
+    flatten=lambda s: (s,),
+    unflatten=lambda values: values[0],
     step=lambda s0, s1, params: (1 - s0, 1 - s1),
     output=lambda s: s,
     to_json=lambda s: {"bit": s},
