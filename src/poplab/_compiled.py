@@ -98,9 +98,7 @@ class CompiledLoop:
         # The arrays stay referenced by self for as long as C reads them.
         self._cfg = np.array(
             [g.n, protocol is PROTOCOLS["neighbor"], *_params_row(params)], dtype=np.int64)
-        self._pairs = np.array(g.directed_pairs, dtype=np.int64).reshape(-1)
-        self._adj_start = np.cumsum([0] + [len(a) for a in g.adjacency], dtype=np.int64)
-        self._adj = np.array([u for a in g.adjacency for u in a], dtype=np.int64)
+        self._pairs, self._adj_start, self._adj = g.pair_arrays
         self._states = np.array([protocol.flatten(s) for s in states], dtype=np.uint64)
         self._hit = np.zeros(1, dtype=np.int64)
         self._args = tuple(a.ctypes.data for a in (

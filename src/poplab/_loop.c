@@ -10,6 +10,14 @@
  * the reference; this file mirrors them line for line and engine.run_until
  * confirms its verdicts with the Python predicate.
  *
+ * The convergence phase (converge) keeps a census of the token labels and one
+ * of the agent labels: how many agents hold each label, and how many labels
+ * are held.  Both are built at the start of each call, O(n) per block, and
+ * follow the two agents each step touches.  The O(n) predicate runs only when
+ * both count n labels.  That gate is exact: RANKED, which neighbor_safe
+ * checks first, holds only when both labelings are permutations of 0..n-1.
+ * The closure phase keeps no census.
+ *
  * A configuration is n rows of uint64 fields, one row per agent in the order
  * of the protocol's declared field table (ranking.FIELDS, RANK_FIELDS wide,
  * or neighbor.FIELDS, NEIGHBOR_FIELDS wide, which starts with the rank
@@ -175,10 +183,75 @@ static int neighbor_safe(const u64 *s, const int64_t *cfg, const int64_t *adj_st
     return 1;
 }
 
+/* How many agents hold each label of one field, and how many labels are held. */
+typedef struct {
+    int64_t count[64];
+    int64_t distinct;
+} census;
+
+static void census_fill(census *c, const u64 *s, int64_t n, int64_t stride, int field)
+{
+    for (int64_t x = 0; x < 64; x++)
+        c->count[x] = 0;
+    c->distinct = 0;
+    for (int64_t v = 0; v < n; v++)
+        if (c->count[s[v * stride + field]]++ == 0)
+            c->distinct++;
+}
+
+/* One agent's label of the field went from `from` to `to`. */
+static inline void census_move(census *c, u64 from, u64 to)
+{
+    if (from == to)
+        return;
+    if (--c->count[from] == 0)
+        c->distinct--;
+    if (c->count[to]++ == 0)
+        c->distinct++;
+}
+
+/* The convergence phase: step until the safe predicate holds.  RANKED (and so
+ * neighbor_safe) needs the token labels and the agent labels each to be all
+ * n labels, so the O(n) predicate runs only when both censuses count n. */
+static int64_t converge(const int64_t *cfg, const int64_t *pairs, const int64_t *adj_start,
+                        const int64_t *adj, u64 *states, const int64_t *block, int64_t len,
+                        int64_t *hit)
+{
+    int64_t n = cfg[CFG_N];
+    int neighbor = cfg[CFG_NEIGHBOR] != 0;
+    int64_t stride = neighbor ? NEIGHBOR_FIELDS : RANK_FIELDS;
+    u64 tmax = (u64)cfg[CFG_TMAX];
+    census tokens, labels;
+    census_fill(&tokens, states, n, stride, IDT);
+    census_fill(&labels, states, n, stride, IDA);
+    *hit = 1;
+    for (int64_t i = 0; i < len; i++) {
+        u64 *a0 = states + pairs[2 * block[i]] * stride;
+        u64 *a1 = states + pairs[2 * block[i] + 1] * stride;
+        u64 t0 = a0[IDT], t1 = a1[IDT], l0 = a0[IDA], l1 = a1[IDA];
+        if (neighbor)
+            neighbor_step(a0, a1, cfg);
+        else
+            rank_step(a0, a1, (u64)n, tmax);
+        census_move(&tokens, t0, a0[IDT]);
+        census_move(&tokens, t1, a1[IDT]);
+        census_move(&labels, l0, a0[IDA]);
+        census_move(&labels, l1, a1[IDA]);
+        if (tokens.distinct != n || labels.distinct != n)
+            continue;
+        if (neighbor ? neighbor_safe(states, cfg, adj_start, adj) : ranked(states, n, RANK_FIELDS))
+            return i + 1;
+    }
+    *hit = 0;
+    return len;
+}
+
 int64_t poplab_advance(const int64_t *cfg, const int64_t *pairs, const int64_t *adj_start,
                        const int64_t *adj, u64 *states, const int64_t *block, int64_t len,
                        int64_t closure, int64_t *hit)
 {
+    if (!closure)
+        return converge(cfg, pairs, adj_start, adj, states, block, len, hit);
     int64_t n = cfg[CFG_N];
     int neighbor = cfg[CFG_NEIGHBOR] != 0;
     int64_t stride = neighbor ? NEIGHBOR_FIELDS : RANK_FIELDS;
@@ -187,26 +260,16 @@ int64_t poplab_advance(const int64_t *cfg, const int64_t *pairs, const int64_t *
     for (int64_t i = 0; i < len; i++) {
         u64 *a0 = states + pairs[2 * block[i]] * stride;
         u64 *a1 = states + pairs[2 * block[i] + 1] * stride;
-        if (closure) {
-            u64 o0 = a0[IDA], o1 = a1[IDA];
-            u64 nb0 = neighbor ? a0[NEIGHBORS] : 0, nb1 = neighbor ? a1[NEIGHBORS] : 0;
-            if (neighbor)
-                neighbor_step(a0, a1, cfg);
-            else
-                rank_step(a0, a1, (u64)n, tmax);
-            if (a0[IDA] != o0 || a1[IDA] != o1)
-                return i + 1;
-            if (neighbor && (a0[NEIGHBORS] != nb0 || a1[NEIGHBORS] != nb1))
-                return i + 1;
-        } else if (neighbor) {
+        u64 o0 = a0[IDA], o1 = a1[IDA];
+        u64 nb0 = neighbor ? a0[NEIGHBORS] : 0, nb1 = neighbor ? a1[NEIGHBORS] : 0;
+        if (neighbor)
             neighbor_step(a0, a1, cfg);
-            if (neighbor_safe(states, cfg, adj_start, adj))
-                return i + 1;
-        } else {
+        else
             rank_step(a0, a1, (u64)n, tmax);
-            if (ranked(states, n, RANK_FIELDS))
-                return i + 1;
-        }
+        if (a0[IDA] != o0 || a1[IDA] != o1)
+            return i + 1;
+        if (neighbor && (a0[NEIGHBORS] != nb0 || a1[NEIGHBORS] != nb1))
+            return i + 1;
     }
     *hit = 0;
     return len;

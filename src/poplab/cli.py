@@ -210,6 +210,11 @@ def _verify(args) -> int:
             raise SpecError("--impossibility needs two comma-separated graph specs")
         g_sub = parse_graph_spec(sub_spec, seed)
         g_super = parse_graph_spec(super_spec, seed)
+        if protocol.needs_m:
+            raise SpecError(
+                f"--impossibility runs {protocol.name} on two graphs whose edge counts differ "
+                f"(a strict subgraph and its supergraph), but {protocol.name} needs exact "
+                f"knowledge of m, and one m cannot be given to both")
         params = engine.ProtocolParams(n=g_sub.n, tmax=1 if args.tmax is None else args.tmax)
         try:
             witness = verifier.impossibility_witness(protocol, g_sub, g_super, params, args.budget)

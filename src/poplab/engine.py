@@ -33,7 +33,15 @@ predicates, proxies, n >= 65, no C compiler) runs the Python loop, which is
 the reference.  On the compiled path the Python predicate confirms what C
 claims: it must reject the configuration where an unconverged run stopped,
 and accept the one at ``steps_to_safe`` and the final one (the safe set is
-closed); a disagreement raises RuntimeError.
+closed); a disagreement raises RuntimeError.  The compiled convergence loop
+runs its O(n) predicate only after steps that leave every token label and
+every agent label held by exactly one agent, which RANKED requires, so the
+step it stops at is the Python loop's; ``_loop.c``'s header says how.
+
+``sample_uniform_config`` draws a start configuration with one
+``rng.integers`` call over the field sizes, which gives the numbers of one
+``random_below`` per field in turn; ``Protocol``'s docstring says when and
+why.
 """
 
 from __future__ import annotations
@@ -99,8 +107,14 @@ class Protocol:
     radix over the offsets value - lo, first field most significant, so
     ``state_count`` is the product of the sizes and the index of a state
     never needs more bits than its fields' binary widths together.
-    ``random_state`` draws the fields in table order, one ``random_below``
-    each.  Every state function validates params first: the sizes come from
+    ``random_states`` draws ``count`` states, each field in table order,
+    with the numbers of one ``random_below`` per field in turn: when no
+    field size is above 2^63 they come from one
+    ``rng.integers(0, sizes, size=(count, fields))`` call, which consumes the
+    stream element by element exactly as the scalar calls do, so both give
+    the same states and leave the generator in the same state; a wider field
+    takes the per-field path.  ``random_state`` is one such draw.  Every
+    state function validates params first: the sizes come from
     ``validate_params`` and then the table, computed again only when a call
     passes another params object than the call before (params are frozen),
     so a run that reuses its params pays for them once.
@@ -152,9 +166,16 @@ class Protocol:
             digits.append(digit)
         return self.unflatten([f.lo + digit for f, digit in zip(self.fields, reversed(digits))])
 
+    def random_states(self, rng: np.random.Generator, params, count: int) -> list:
+        sizes = self._sizes(params)
+        if max(sizes) > _INT64_BOUND:
+            rows = [[random_below(rng, size) for size in sizes] for _ in range(count)]
+        else:
+            rows = rng.integers(0, sizes, size=(count, len(sizes))).tolist()
+        return [self.unflatten([f.lo + v for f, v in zip(self.fields, row)]) for row in rows]
+
     def random_state(self, rng: np.random.Generator, params):
-        return self.unflatten(
-            [f.lo + random_below(rng, size) for f, size in zip(self.fields, self._sizes(params))])
+        return self.random_states(rng, params, 1)[0]
 
 
 def checked_step(protocol, s0, s1, params) -> tuple:
@@ -288,10 +309,13 @@ def sample_uniform_config(protocol, params, seed) -> tuple:
     """Independent uniform draw over the full declared per-agent state domain.
 
     This is the harness proxy for an arbitrary (adversarial) starting
-    configuration.  ``seed`` may be an int or a ready numpy Generator.
+    configuration.  ``seed`` may be an int or a ready numpy Generator.  The
+    n states come from one ``protocol.random_states`` call, which is one
+    ``rng.integers`` call unless a field is wider than 2^63 and gives the
+    numbers of one ``random_below`` per field either way (see ``Protocol``).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return tuple(protocol.random_state(rng, params) for _ in range(params.n))
+    return tuple(protocol.random_states(rng, params, params.n))
 
 
 class _PythonLoop:

@@ -157,6 +157,13 @@ def test_run_with_a_param_beyond_int64(capsys, protocol, option):
 
 
 RUN = ("run", "--protocol", "ranking", "--graph", "path:3")
+NEIGHBOR_IMPOSSIBILITY = ("verify", "--protocol", "neighbor", "--impossibility",
+                          "path:3,complete:3")
+# The reason an error line must give, where the bare "error:" would not show it.
+ERROR_REASONS = {
+    # The user gave no params; the two graphs' edge counts differ, so no one m fits.
+    NEIGHBOR_IMPOSSIBILITY: "edge counts differ",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -177,6 +184,7 @@ RUN = ("run", "--protocol", "ranking", "--graph", "path:3")
     ("sweep", "--protocol", "ranking", "--kinds", "path", "--ns", "3,x"),
     ("game", "--states", "a"),
     ("game", "--counts", "1,x"),
+    NEIGHBOR_IMPOSSIBILITY,
 ], ids=lambda argv: " ".join(argv[-2:]) + f" ({argv[0]})")
 def test_out_of_domain_input_exits_2(capsys, argv):
     try:
@@ -187,6 +195,7 @@ def test_out_of_domain_input_exits_2(capsys, argv):
     assert code == 2
     assert out.out == ""
     assert "error:" in out.err
+    assert ERROR_REASONS.get(argv, "") in out.err
 
 
 def test_csv_matches_json(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from poplab.engine import (
     ProtocolParams,
     default_params,
     mix_seed,
+    random_below,
     replay,
     run_trial,
     run_until,
@@ -21,7 +23,7 @@ from poplab.errors import DomainViolation, NotAnEdge
 from poplab.graph import generate_graph
 from poplab.neighbor import NEIGHBOR, NeighborState, mask_of
 from poplab.oracles import neighbor_safe, rank_safe_predicate, safe_predicate
-from poplab.ranking import BLUE, RANKING, RED, RankState
+from poplab.ranking import BLUE, RANKING, RED, WHITE, RankState
 
 
 # Transition returns its inputs; output is the whole state.
@@ -137,6 +139,43 @@ def test_sample_uniform_marginal_three_sigma():
     sigma = (total_states * 0.25 * 0.75) ** 0.5
     for c in counts:
         assert abs(c - expected) <= 3 * sigma
+
+
+def per_field_config(protocol, params, rng):
+    """The reference start draw: agent by agent, one ``random_below`` per field."""
+    sizes = [f.size(params) for f in protocol.fields]
+    return tuple(
+        protocol.unflatten([f.lo + random_below(rng, size) for f, size in zip(protocol.fields, sizes)])
+        for _ in range(params.n))
+
+
+START_DRAW_CASES = [
+    (protocol, kind, n) for protocol in (RANKING, NEIGHBOR)
+    for kind, n in (("path", 2), ("cycle", 8), ("random_connected", 64))
+]
+
+
+@pytest.mark.parametrize("protocol,kind,n", START_DRAW_CASES,
+                         ids=[f"{p.name}-{kind}:{n}" for p, kind, n in START_DRAW_CASES])
+def test_start_draw_matches_one_random_below_per_field(protocol, kind, n):
+    # The one-call draw consumes the stream exactly as the per-field draws do;
+    # neighbor masks at n = 64 have size 2^64 and take the per-field path.
+    g = generate_graph(kind, n, 2 * n if kind == "random_connected" else None, seed=n)
+    params = default_params(g, know_m=protocol.needs_m)
+    for seed in (0, 1, 7, 2**40 + 3):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_uniform_config(protocol, params, a) == per_field_config(protocol, params, b)
+        assert a.integers(0, 2**62) == b.integers(0, 2**62)
+
+
+def test_start_draw_with_a_timer_wider_than_64_bits():
+    params = ProtocolParams(n=5, tmax=2**70)
+    for seed in (0, 3):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        c = sample_uniform_config(RANKING, params, a)
+        assert c == per_field_config(RANKING, params, b)
+        assert any(s.timerT >= 2**64 for s in c)
+        assert a.integers(0, 2**62) == b.integers(0, 2**62)
 
 
 def test_run_until_immediate_safety_and_closure():
@@ -262,6 +301,15 @@ def test_compiled_loop_loads_when_a_compiler_exists():
     assert _compiled.library() is not None
 
 
+def test_loop_source_compiles_without_warnings():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    proc = subprocess.run(
+        ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_compiled.SOURCE)],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
 def always_safe(protocol, g, params):
     """A marked predicate that holds everywhere: the run goes straight to its
     closure window from any start, so outputs do change there."""
@@ -385,6 +433,89 @@ def test_compiled_neighbor_loop_at_mask_bit_63(compiled, kind, n):
     assert runs[0] == runs[1] and runs[0].steps_to_safe == 0 and runs[0].closure_ok
     assert runs[0].final_states == runs[1].final_states
     assert runs[0].trace == runs[1].trace
+
+
+@pytest.mark.parametrize("kind", ["cycle", "complete"])
+def test_compiled_loop_matches_python_loop_at_64_agents(compiled, kind):
+    # The census arrays have one entry per label, 64 of them; the cap keeps
+    # the Python loop short, so the run stops before convergence.
+    g = generate_graph(kind, 64)
+    params = default_params(g)
+    res = assert_same_run(RANKING, g, params, 64, 200_000, 0, rank_safe_predicate(params))
+    assert res.steps_to_safe is None
+
+
+def converge_from(protocol, g, params, c0, pairs):
+    """Run the compiled convergence loop from ``c0`` over the given directed pairs."""
+    loop = _compiled.CompiledLoop(_compiled.library(), protocol, g, params, c0)
+    block = np.array([g.directed_pairs.index(p) for p in pairs], dtype=np.int64)
+    return loop.converge(block), loop.states()
+
+
+def is_permutation(labels, n):
+    return sorted(labels) == list(range(n))
+
+
+def test_census_gate_opens_on_distinct_labels_but_the_scan_rejects(compiled):
+    # Tokens and labels stay permutations, so the predicate is asked after
+    # every step; agent 3 is blue while the token of label 3 is red.
+    g = generate_graph("complete", 4)
+    params = ProtocolParams(n=4, tmax=100)
+    c0 = [RankState(v, v, RED, RED, 100) for v in range(4)]
+    c0[3] = RankState(3, 3, BLUE, RED, 100)
+    pairs = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1)] * 12
+    (done, hit), states = converge_from(RANKING, g, params, c0, pairs)
+    assert (done, hit) == (60, False)
+    assert is_permutation([s.idT for s in states], 4) and is_permutation([s.idA for s in states], 4)
+    assert not rank_safe_predicate(params)(states)
+
+
+RANKED_BY_ONE_STEP = {
+    # Both tokens carry label 1; the responder's moves on to label 2.
+    "token collision": [RankState(0, 1, WHITE, RED, 5), RankState(1, 1, WHITE, BLUE, 5),
+                        RankState(2, 0, WHITE, RED, 5)],
+    # Agent 1 shares label 0 and meets the red token 0 while blue: it moves on to label 1.
+    "label bump": [RankState(0, 0, RED, RED, 5), RankState(0, 1, BLUE, BLUE, 5),
+                   RankState(2, 2, WHITE, RED, 5)],
+}
+
+
+@pytest.mark.parametrize("how", RANKED_BY_ONE_STEP)
+def test_census_follows_the_step_that_ranks(compiled, how):
+    g = generate_graph("complete", 3)
+    params = ProtocolParams(n=3, tmax=5)
+    c0 = RANKED_BY_ONE_STEP[how]
+    pred = rank_safe_predicate(params)
+    assert not pred(c0)
+    (done, hit), states = converge_from(RANKING, g, params, c0, [(0, 1)] + [(1, 2), (2, 0)] * 20)
+    assert (done, hit) == (1, True)
+    assert pred(states)
+
+
+NEIGHBOR_FLAWS = {
+    "none": lambda s: s,
+    # Agent 4's set holds label 2, which is no neighbor of it: still RANKED.
+    "fake label": lambda s: s._replace(neighbors=s.neighbors | 1 << 2),
+    # Agent 4 is blue while the token of its label is red: labels still distinct.
+    "stale color": lambda s: s._replace(rank=s.rank._replace(colorA=BLUE)),
+}
+
+
+@pytest.mark.parametrize("flaw", NEIGHBOR_FLAWS)
+def test_census_gate_leaves_the_neighbor_checks_to_the_scan(compiled, flaw):
+    # A safe configuration stays safe.  A flawed one keeps distinct tokens
+    # and labels, so the gate opens after every step, but agent 4 never
+    # interacts, so the flaw stays and the configuration is never safe.
+    g = generate_graph("cycle", 5)
+    params = default_params(g, know_m=True)
+    c0 = list(safe_neighbor_config(g, params))
+    c0[4] = NEIGHBOR_FLAWS[flaw](c0[4])
+    pairs = [(0, 1), (1, 2), (2, 1), (1, 0)] * 10
+    (done, hit), states = converge_from(NEIGHBOR, g, params, c0, pairs)
+    assert (done, hit) == ((1, True) if flaw == "none" else (40, False))
+    assert is_permutation([s.rank.idT for s in states], 5)
+    assert is_permutation([s.rank.idA for s in states], 5)
+    assert neighbor_safe(states, g, params) is (flaw == "none")
 
 
 def test_dispatch_takes_the_python_loop_unless_every_condition_holds(compiled):
