@@ -18,6 +18,7 @@ from poplab.verifier import (
     Witness,
     _pair_tables,
     build_transition_graph,
+    _final_sets_within,
     final_sets,
     impossibility_witness,
     verify_self_stabilizing,
@@ -194,8 +195,8 @@ def test_final_sets_match_attracting_components(protocol, kind, n, tmax):
 ], ids=lambda x: getattr(x, "name", x))
 def test_final_sets_in_the_order_of_the_deduplicated_graph(protocol, kind, n, tmax):
     # final_sets replaces repeated successors by self-loops instead of
-    # removing them; the components and their labels, and so the order of
-    # the returned sets, must be those of the sorted, deduplicated CSR.
+    # removing them; the components must be those of the sorted,
+    # deduplicated CSR, and the sets come ordered by their smallest key.
     from scipy import sparse
     from scipy.sparse import csgraph
 
@@ -208,7 +209,7 @@ def test_final_sets_in_the_order_of_the_deduplicated_graph(protocol, kind, n, tm
     matrix.sum_duplicates()
     _, labels = csgraph.connected_components(matrix, directed=True, connection="strong")
     got = final_sets(tg)
-    assert [labels[min(f)] for f in got] == sorted(labels[min(f)] for f in got)
+    assert [min(f) for f in got] == sorted(min(f) for f in got)
     assert all(len({labels[k] for k in f}) == 1 for f in got)
     assert sorted(sorted(f) for f in got) == sorted(
         sorted(np.flatnonzero(labels == labels[min(f)]).tolist()) for f in got)
@@ -284,6 +285,68 @@ def test_output_change_witness_is_replayable():
         "kind": "output_change", "start": [{"bit": 0}, {"bit": 0}], "pairs": [[0, 1]],
         "agent": 0, "before": 0, "after": 1,
     }
+
+
+# --- final sets against the whole configuration space -----------------------
+
+
+# Every pair swaps the two agents' states: every pair's map is a permutation
+# of the configurations, so the image never contracts and the region is the
+# whole space.
+SWAP = Protocol(
+    name="swap",
+    fields=(Field("value", 0, lambda params: 5),),
+    flatten=lambda s: (s,),
+    unflatten=lambda values: values[0],
+    step=lambda s0, s1, params: (s1, s0),
+    output=lambda s: s,
+    to_json=lambda s: {"value": s},
+)
+
+
+def _whole_space_final_sets(tg):
+    """Bottom SCCs of the whole deduplicated graph, ascending, ordered by smallest key."""
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    count, pairs = tg.config_count, len(tg.successors)
+    matrix = sparse.csr_matrix(
+        (np.ones(count * pairs), np.ascontiguousarray(tg.successors.T).reshape(-1),
+         np.arange(0, count * pairs + 1, pairs)), shape=(count, count))
+    matrix.sum_duplicates()
+    n_comp, labels = csgraph.connected_components(matrix, directed=True, connection="strong")
+    has_out = np.zeros(n_comp, dtype=bool)
+    for row in tg.successors:
+        has_out[labels[labels[row] != labels]] = True
+    components = {}
+    for key in np.flatnonzero(~has_out[labels]).tolist():
+        components.setdefault(labels[key], []).append(key)
+    return sorted(components.values())
+
+
+@pytest.mark.parametrize("protocol, kind, n, tmax", [
+    (RANKING, "complete", 2, 1),
+    (RANKING, "complete", 2, 2),
+    (RANKING, "complete", 2, 3),
+    (RANKING, "path", 3, 1),
+    (RANKING, "complete", 3, 1),
+    (RANKING, "star", 3, 1),
+    (GREEDY_DEGREE, "path", 3, 1),
+    (GREEDY_DEGREE, "complete", 3, 1),
+    (FIXED_OUTPUT, "complete", 3, 1),
+    (OSCILLATOR, "complete", 3, 1),
+    (SWAP, "path", 3, 1),
+    (SWAP, "complete", 3, 1),
+], ids=lambda x: getattr(x, "name", x))
+def test_final_sets_match_the_whole_space(protocol, kind, n, tmax):
+    g = generate_graph(kind, n)
+    tg = build_transition_graph(protocol, g, ProtocolParams(n=n, tmax=tmax))
+    got = final_sets(tg)
+    assert [sorted(f) for f in got] == _whole_space_final_sets(tg)
+    if protocol in (FIXED_OUTPUT, SWAP):
+        assert sum(map(len, got)) == tg.config_count
+    every_key = np.arange(tg.config_count, dtype=tg.successors.dtype)
+    assert _final_sets_within(tg.successors, every_key) == got
 
 
 # --- impossibility search ------------------------------------------------------
