@@ -1,9 +1,12 @@
 """Model-check self-stabilization instead of sampling it.
 
-On tiny populations the whole configuration space fits in memory, so the
+On tiny populations every configuration can be accounted for, so the
 random scheduler can be dropped entirely: a protocol is self-stabilizing
 exactly when every bottom strongly connected component of the one-step
 transition relation contains only safe configurations with frozen outputs.
+The checker never stores the whole configuration space: it maps arrays of
+configurations through per-pair tables and searches a small region that
+holds every such component.
 The recoloring timer only affects speed, so the check runs at tmax=1.
 """
 

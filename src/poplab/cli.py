@@ -199,6 +199,9 @@ def cmd_verify(args) -> int:
     except TooLarge as exc:
         _emit({"record": "error", "error": "TooLarge", "detail": str(exc)})
         return EXIT_TOO_LARGE
+    except MemoryError as exc:  # the budget admitted a space this machine cannot hold
+        _emit({"record": "error", "error": "TooLarge", "detail": f"out of memory: {exc}"})
+        return EXIT_TOO_LARGE
 
 
 def _verify(args) -> int:

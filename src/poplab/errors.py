@@ -47,12 +47,12 @@ class BadCounts(PoplabError):
 
 
 class TooLarge(PoplabError):
-    """The requested enumeration exceeds the configured budget."""
+    """The requested enumeration exceeds the configured budget, or what int64 keys can index."""
 
-    def __init__(self, size, budget):
+    def __init__(self, size, budget, reason=None):
         self.size = size
         self.budget = budget
-        super().__init__(f"state space of {size} configurations exceeds budget {budget}")
+        super().__init__(f"state space of {size} configurations {reason or f'exceeds budget {budget}'}")
 
 
 class NoSafeConfigOnSuper(PoplabError):

@@ -2,16 +2,17 @@
 
 A protocol is self-stabilizing exactly when every *final* configuration
 (member of a closed, mutually reachable set, i.e. a bottom strongly connected
-component of the transition relation) is safe.  This module enumerates every
-configuration's successors, finds the bottom SCCs, checks a safe predicate
-plus output constancy on them, and searches subgraph/supergraph pairs for
+component of the transition relation) is safe.  This module tabulates the
+two-agent step once per directed pair, maps arrays of configurations through
+those tables on demand, finds the bottom SCCs, checks a safe predicate plus
+output constancy on them, and searches subgraph/supergraph pairs for
 witnesses that a degree-claiming protocol cannot be self-stabilizing.
 
 The bottom SCCs are searched in a small forward-closed region instead of
 the whole space (the grand coupling of Propp and Wilson's exact sampling):
-one pair's map at a time is applied to the image of every key, and the
-strong components run on the forward closure of what is left.  Three facts
-make this exact:
+pairs' maps are applied to the image of every key, and the strong
+components run on the forward closure of what is left.  Three facts make
+this exact:
 
 - every bottom SCC is closed under each pair's map, so any composition of
   the maps sends it into itself, and the image of every key meets it;
@@ -20,7 +21,11 @@ make this exact:
 - a forward-closed region has the same bottom SCCs as the whole graph.
 
 So the result does not depend on the schedule of the maps, which only sets
-how small the region is.
+how small the region is.  The first maps are those of a maximal matching of
+the graph: they act on disjoint agents, so the image of every key under
+them is a product of per-pair images, built without visiting every key.
+Nothing in the search is as large as the configuration space unless the
+region is.
 
 Configurations are packed into integers by mixed radix: agent 0 is the least
 significant digit, each digit being the protocol's per-agent state index.
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,7 +55,12 @@ DEFAULT_BUDGET = 10_000_000
 
 @dataclass
 class TransitionGraph:
-    """Complete successor relation over the packed configuration space."""
+    """The successor relation over the packed configuration space, per directed pair.
+
+    Keys are int64 and are mapped through a pair on demand (``step_keys``);
+    nothing as large as the configuration space is stored unless
+    ``successors`` is read.
+    """
 
     protocol: object
     graph: Graph
@@ -57,8 +68,9 @@ class TransitionGraph:
     agent_state_count: int
     config_count: int
     directed_pairs: tuple[tuple[int, int], ...]
-    # (pairs, config_count): row e holds every key's successor under directed_pairs[e]
-    successors: np.ndarray
+    # (pairs, q*q) int64: entry i*q + j of row e is what directed_pairs[e] = (u, v)
+    # adds to a key whose agent u holds digit i and agent v digit j
+    deltas: np.ndarray
 
     def decode(self, key: int) -> tuple:
         q = self.agent_state_count
@@ -75,8 +87,51 @@ class TransitionGraph:
             key = key * q + self.protocol.state_to_index(s, self.params)
         return key
 
+    def step_keys(self, keys, pair_index: int) -> np.ndarray:
+        """Every key of ``keys`` mapped through directed_pairs[pair_index], as int64.
+
+        One gather: keys + deltas[e][digit_u * q + digit_v].  The index is
+        built in place, so at most two temporaries of ``keys``' size live
+        at once.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        q = self.agent_state_count
+        u, v = self.directed_pairs[pair_index]
+        index = keys // q**u
+        index %= q
+        index *= q
+        digit = keys // q**v
+        digit %= q
+        index += digit
+        del digit
+        moved = self.deltas[pair_index].take(index)
+        moved += keys
+        return moved
+
     def successor(self, key: int, pair_index: int) -> int:
-        return int(self.successors[pair_index, key])
+        return int(self.step_keys(key, pair_index))
+
+    @cached_property
+    def successors(self) -> np.ndarray:
+        """(pairs, config_count): row e holds every key's successor under directed_pairs[e].
+
+        Built on first read, and never read by the verifier.  The keys are
+        viewed as an array of shape (q,)*n, whose axis n-1-a holds agent
+        a's digit, and each pair's table is broadcast over its two agents'
+        axes.  int32 below 2^31 configurations, else int64.
+        """
+        q, n, count = self.agent_state_count, self.graph.n, self.config_count
+        index_dtype = np.int32 if count < 2**31 else np.int64
+        keys = np.arange(count, dtype=index_dtype).reshape((q,) * n)
+        successors = np.empty((len(self.directed_pairs), count), dtype=index_dtype)
+        for e, (u, v) in enumerate(self.directed_pairs):
+            delta = self.deltas[e].reshape(q, q)  # [i, j]: i is agent u's digit, j agent v's
+            if u < v:  # agent v's axis (n-1-v) comes first
+                delta = delta.T
+            shape = [1] * n
+            shape[n - 1 - u] = shape[n - 1 - v] = q
+            np.add(keys, delta.astype(index_dtype).reshape(shape), out=successors[e].reshape(keys.shape))
+        return successors
 
     def outputs_of(self, key: int) -> tuple:
         return tuple(self.protocol.output(s) for s in self.decode(key))
@@ -112,36 +167,30 @@ def _pair_tables(protocol, params, q: int):
 
 
 def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUDGET) -> TransitionGraph:
-    """Enumerate every configuration's successor under every directed pair.
+    """Tabulate how every directed pair moves a packed configuration key.
 
-    The keys are viewed as an n-dimensional array of shape (q,)*n, whose
-    axis n-1-a holds agent a's digit.  Pair (u, v) moves key k with digits
-    i (agent u) and j (agent v) by (t0[i,j] - i)*q^u + (t1[i,j] - j)*q^v,
-    a (q, q) table broadcast over the two agents' axes, so no digit is ever
-    extracted from a key.  Raises TooLarge when q^n exceeds the budget.
+    Pair (u, v) moves a key whose agent u holds digit i and agent v digit j
+    by (t0[i,j] - i)*q^u + (t1[i,j] - j)*q^v, where t0, t1 are the two-agent
+    step on state indices; that (q, q) table is all that is stored per
+    pair.  Raises TooLarge when q^n exceeds the budget, or reaches 2^63 so
+    that keys would not fit in int64, before the step is tabulated.
     """
     protocol.validate_params(params)
     if g.n != params.n:
         raise DomainViolation(f"graph has {g.n} agents but params expect {params.n}")
     q = protocol.state_count(params)
-    n = g.n
-    count = q**n
+    count = q**g.n
     if count > budget:
         raise TooLarge(count, budget)
+    if count >= 2**63:
+        raise TooLarge(count, budget, "does not fit in int64 keys (2^63)")
 
     t0, t1 = _pair_tables(protocol, params, q)
     digits = np.arange(q, dtype=np.int64)
-    index_dtype = np.int32 if count < 2**31 else np.int64
-    keys = np.arange(count, dtype=index_dtype).reshape((q,) * n)
-    successors = np.empty((len(g.directed_pairs), count), dtype=index_dtype)
-    for e, (u, v) in enumerate(g.directed_pairs):
-        # delta[i, j]: i is agent u's digit, j agent v's.
-        delta = (t0 - digits[:, None]) * q**u + (t1 - digits[None, :]) * q**v
-        if u < v:  # agent v's axis (n-1-v) comes first
-            delta = delta.T
-        shape = [1] * n
-        shape[n - 1 - u] = shape[n - 1 - v] = q
-        np.add(keys, delta.astype(index_dtype).reshape(shape), out=successors[e].reshape(keys.shape))
+    deltas = np.stack([
+        ((t0 - digits[:, None]) * q**u + (t1 - digits[None, :]) * q**v).reshape(-1)
+        for u, v in g.directed_pairs
+    ])
     return TransitionGraph(
         protocol=protocol,
         graph=g,
@@ -149,7 +198,7 @@ def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUD
         agent_state_count=q,
         config_count=count,
         directed_pairs=g.directed_pairs,
-        successors=successors,
+        deltas=deltas,
     )
 
 
@@ -192,46 +241,65 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _contracted_image(succ: np.ndarray) -> np.ndarray:
-    """The image of every key under a composition of pairs' maps, as ascending keys.
+def _matching_image(tg: TransitionGraph) -> np.ndarray:
+    """The image of every key under the pairs of a greedy maximal matching, as distinct keys.
 
-    The first step is pair 0's row, whose distinct values are the image of
-    every key; each later step maps the last image through one directed
-    pair drawn by a generator of this function's own, so the schedule is
-    the same on every call.  It stops once ``_STALL_PASSES`` passes' worth
-    of steps in a row have not shrunk the image.
+    The matched pairs act on disjoint agents, so the image under their
+    composition is the product of each pair's table image on its two
+    agents with every digit of each unmatched agent.  The keys are not
+    sorted.
     """
-    image = _distinct(succ[0])
+    q = tg.agent_state_count
+    digits = np.arange(q, dtype=np.int64)
+    keys = np.zeros(1, dtype=np.int64)
+    matched = set()
+    for e, (u, v) in enumerate(tg.directed_pairs):
+        if u in matched or v in matched:
+            continue
+        matched |= {u, v}
+        # Every pair of digits of u and v, all other digits 0, moved by the pair.
+        cells = (digits[:, None] * q**u + digits[None, :] * q**v).reshape(-1)
+        keys = np.add.outer(keys, _distinct(cells + tg.deltas[e])).reshape(-1)
+    for a in range(tg.graph.n):
+        if a not in matched:
+            keys = np.add.outer(keys, digits * q**a).reshape(-1)
+    return keys
+
+
+def _contracted_image(tg: TransitionGraph, image: np.ndarray) -> np.ndarray:
+    """``image`` mapped through one directed pair at a time until it stops shrinking, ascending.
+
+    The pairs are drawn by a generator of this function's own, so the
+    schedule is the same on every call.  It stops once ``_STALL_PASSES``
+    passes' worth of steps in a row have not shrunk the image.
+    """
+    pairs = len(tg.directed_pairs)
     rng = np.random.default_rng(0)
     stalls = 0
-    while stalls < _STALL_PASSES * len(succ):
-        nxt = _distinct(succ[rng.integers(len(succ))][image])
+    while stalls < _STALL_PASSES * pairs:
+        nxt = _distinct(tg.step_keys(image, rng.integers(pairs)))
         stalls = stalls + 1 if nxt.size == image.size else 0
         image = nxt
     return image
 
 
-def _forward_closure(succ: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Every key reachable from ``start`` (included), ascending, by breadth-first search.
+def _forward_closure(tg: TransitionGraph, start: np.ndarray) -> np.ndarray:
+    """Every key reachable from the ascending keys ``start`` (included), ascending.
 
-    Each level maps the frontier through one pair's row at a time, so no
-    temporary holds more than one row's worth of the frontier.
+    A breadth-first search on sorted key arrays: each level maps the
+    frontier through one pair at a time and keeps what the region does not
+    hold yet, so no temporary holds more than one pair's image of it.
     """
-    count = succ.shape[1]
-    visited = np.zeros(count, dtype=bool)
-    visited[start] = True
-    seen = start.size
-    frontier = start
-    while frontier.size and seen < count:
+    region = frontier = np.asarray(start, dtype=np.int64)
+    while frontier.size:
         found = []
-        for row in succ:
-            nxt = row[frontier]
-            nxt = _distinct(nxt[~visited[nxt]])
-            visited[nxt] = True
-            found.append(nxt)
-        frontier = np.concatenate(found)
-        seen += frontier.size
-    return np.flatnonzero(visited).astype(succ.dtype, copy=False)
+        for e in range(len(tg.directed_pairs)):
+            nxt = tg.step_keys(frontier, e)
+            at = np.minimum(np.searchsorted(region, nxt), region.size - 1)
+            found.append(nxt[region[at] != nxt])
+        frontier = _distinct(np.concatenate(found))
+        region = np.insert(region, np.searchsorted(region, frontier), frontier)
+    return region
 
 
 def _bottom_components(succ: np.ndarray) -> list[np.ndarray]:
@@ -294,8 +362,9 @@ def final_sets(tg: TransitionGraph) -> list[frozenset[int]]:
 
     The strong components run on a forward-closed region R, relabelled
     0..|R|-1, not on the whole configuration space.  R is the forward
-    closure of the image of every key under a composition of pairs' maps
-    (``_contracted_image``).  Three facts make the result exact:
+    closure of the image of every key under a composition of pairs' maps:
+    those of a maximal matching (``_matching_image``), then one pair at a
+    time (``_contracted_image``).  Three facts make the result exact:
 
     - Every final set is closed under each pair's map, so any composition
       of the maps sends it into itself.  The image of every key therefore
@@ -310,24 +379,21 @@ def final_sets(tg: TransitionGraph) -> list[frozenset[int]]:
     So the result does not depend on the schedule, which only sets how
     small R is.
     """
-    return _final_sets_within(tg.successors, _contracted_image(tg.successors))
+    return _final_sets_within(tg, _contracted_image(tg, _matching_image(tg)))
 
 
-def _final_sets_within(succ: np.ndarray, start: np.ndarray) -> list[frozenset[int]]:
-    """``final_sets`` searched in the forward closure of the keys ``start``.
+def _final_sets_within(tg: TransitionGraph, start: np.ndarray) -> list[frozenset[int]]:
+    """``final_sets`` searched in the forward closure of the ascending keys ``start``.
 
     Exact whenever ``start`` meets every final set; ``final_sets`` passes
-    the contracted image.
+    the contracted image.  The region is forward-closed, so each pair's
+    image of it lies in it and ``np.searchsorted`` relabels it.
     """
-    region = _forward_closure(succ, start)
-    if region.size == succ.shape[1]:
-        # Every key is in the region: relabelling would copy the successors.
-        return [frozenset(c.tolist()) for c in _bottom_components(succ)]
-    index = np.empty(succ.shape[1], dtype=succ.dtype)
-    index[region] = np.arange(region.size, dtype=succ.dtype)
-    local = np.empty((len(succ), region.size), dtype=succ.dtype)
-    for e, row in enumerate(succ):
-        np.take(index, row[region], out=local[e])
+    region = _forward_closure(tg, start)
+    local = np.empty((len(tg.directed_pairs), region.size),
+                     dtype=np.int32 if region.size < 2**31 else np.int64)
+    for e in range(len(tg.directed_pairs)):
+        local[e] = np.searchsorted(region, tg.step_keys(region, e))
     return [frozenset(region[c].tolist()) for c in _bottom_components(local)]
 
 

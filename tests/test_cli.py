@@ -269,6 +269,40 @@ def test_verify_budget_env(capsys):
     assert json_lines(out)[0]["error"] == "TooLarge"
 
 
+def test_verify_keys_past_int64_exit_4(capsys, monkeypatch):
+    # 768^8 ≈ 1.2e23 configurations fit the budget but not int64 keys; the
+    # check comes before the step is tabulated.
+    from poplab import verifier
+
+    def no_tables(*args):
+        raise AssertionError("pair tables built for a space past int64")
+
+    monkeypatch.setattr(verifier, "_pair_tables", no_tables)
+    code, out, err = run_cli(capsys, "verify", "--protocol", "ranking", "--graph", "complete:8",
+                             "--tmax", "1", "--budget", str(10**30))
+    assert code == 4
+    assert err == ""
+    assert json_lines(out) == [{
+        "record": "error", "error": "TooLarge",
+        "detail": f"state space of {768**8} configurations does not fit in int64 keys (2^63)",
+    }]
+
+
+def test_verify_out_of_memory_exits_4(capsys, monkeypatch):
+    from poplab import verifier
+
+    def out_of_memory(tg):
+        raise MemoryError("Unable to allocate 30.4 GiB")
+
+    monkeypatch.setattr(verifier, "final_sets", out_of_memory)
+    code, out, err = run_cli(capsys, "verify", "--protocol", "ranking", "--graph", "complete:2")
+    assert code == 4
+    assert err == ""
+    assert json_lines(out) == [{
+        "record": "error", "error": "TooLarge", "detail": "out of memory: Unable to allocate 30.4 GiB",
+    }]
+
+
 def test_verify_broken_protocol_reports_witness(capsys):
     code, out, _ = run_cli(capsys, "verify", "--protocol", "greedydegree",
                            "--graph", "path:3", "--seed", "0")

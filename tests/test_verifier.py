@@ -16,6 +16,7 @@ from poplab.verifier import (
     GREEDY_DEGREE,
     GreedyDegreeState,
     Witness,
+    _matching_image,
     _pair_tables,
     build_transition_graph,
     _final_sets_within,
@@ -97,6 +98,25 @@ def test_successors_match_digit_formula(kind, n, tmax):
         dv = (keys // q**v) % q
         expected = keys + (t0[du, dv] - du) * q**u + (t1[du, dv] - dv) * q**v
         np.testing.assert_array_equal(tg.successors[e], expected)
+
+
+@pytest.mark.parametrize("kind, n, tmax", [
+    ("complete", 2, 1), ("complete", 2, 2), ("path", 3, 1), ("complete", 3, 1)])
+def test_step_keys_match_the_broadcast_successors(kind, n, tmax):
+    # The on-demand map against the whole-space rows, which broadcast each
+    # pair's table over the keys instead of extracting digits.
+    import random
+
+    g = generate_graph(kind, n)
+    tg = build_transition_graph(RANKING, g, ProtocolParams(n=n, tmax=tmax))
+    every_key = np.arange(tg.config_count)
+    rng = random.Random(0)
+    for e in range(len(tg.directed_pairs)):
+        mapped = tg.step_keys(every_key, e)
+        assert mapped.dtype == np.int64
+        np.testing.assert_array_equal(mapped, tg.successors[e])
+        for key in rng.sample(range(tg.config_count), 50):
+            assert tg.successor(key, e) == tg.successors[e, key]
 
 
 def test_out_of_domain_step_raises():
@@ -346,7 +366,36 @@ def test_final_sets_match_the_whole_space(protocol, kind, n, tmax):
     if protocol in (FIXED_OUTPUT, SWAP):
         assert sum(map(len, got)) == tg.config_count
     every_key = np.arange(tg.config_count, dtype=tg.successors.dtype)
-    assert _final_sets_within(tg.successors, every_key) == got
+    assert _final_sets_within(tg, every_key) == got
+
+
+# Every pair sends both agents to state 0, so {0} is the one final set.
+TO_ZERO = Protocol(
+    name="tozero",
+    fields=(Field("value", 0, lambda params: 64),),
+    flatten=lambda s: (s,),
+    unflatten=lambda values: values[0],
+    step=lambda s0, s1, params: (0, 0),
+    output=lambda s: s,
+    to_json=lambda s: {"value": s},
+)
+
+
+def test_final_sets_allocate_nothing_the_size_of_the_space():
+    # 64^7 ≈ 4.4e12 configurations: an array with one byte per
+    # configuration would raise MemoryError.
+    g = generate_graph("path", 7)
+    params = ProtocolParams(n=7, tmax=1)
+    count = 64**7
+    tg = build_transition_graph(TO_ZERO, g, params, budget=count + 1)
+    assert tg.config_count == count
+    start = _matching_image(tg)
+    assert start.dtype == np.int64
+    assert sorted(start.tolist()) == [d * 64**6 for d in range(64)]  # agent 6 is unmatched
+    assert tg.step_keys(start, len(tg.directed_pairs) - 1).dtype == np.int64
+    assert final_sets(tg) == [frozenset({0})]
+    assert verify_self_stabilizing(TO_ZERO, g, params, lambda states: True, budget=count + 1) is True
+    assert "successors" not in tg.__dict__
 
 
 # --- impossibility search ------------------------------------------------------
