@@ -49,7 +49,7 @@ def parse_graph_spec(spec: str, seed: int) -> graphs.Graph:
             return graphs.load_edge_list(path)
         except FileNotFoundError as exc:
             raise SpecError(f"graph file not found: {path}") from exc
-        except (NotSimple, NotConnected, ValueError) as exc:
+        except (OSError, NotSimple, NotConnected, ValueError) as exc:
             raise SpecError(f"bad graph file {path}: {exc}") from exc
     if ":" not in spec:
         raise SpecError(f"bad graph spec {spec!r}; expected kind:n[,m][@seed] or file:path")
@@ -149,7 +149,10 @@ def _run_cell(protocol, g, args, master_seed, csv_writer, graph_label) -> bool:
 def _open_csv(args):
     if not args.csv:
         return None, None
-    fh = open(args.csv, "w", newline="", encoding="utf-8")
+    try:
+        fh = open(args.csv, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise SpecError(f"--csv {args.csv}: {exc}") from exc
     writer = csv.DictWriter(fh, fieldnames=list(engine.RunResult.RECORD_FIELDS), extrasaction="ignore")
     writer.writeheader()
     return fh, writer
@@ -204,6 +207,13 @@ def cmd_verify(args) -> int:
         return EXIT_TOO_LARGE
 
 
+def _verify_params(protocol, g, args) -> engine.ProtocolParams:
+    """A protocol that needs m gets the graph's m and default ceilings, any other tmax 1 by default."""
+    if protocol.needs_m:
+        return engine.default_params(g, know_m=True, tmax=args.tmax)
+    return engine.ProtocolParams(n=g.n, tmax=1 if args.tmax is None else args.tmax)
+
+
 def _verify(args) -> int:
     seed = _require_seed(args)
     protocol = PROTOCOLS[args.protocol]
@@ -218,7 +228,7 @@ def _verify(args) -> int:
                 f"--impossibility runs {protocol.name} on two graphs whose edge counts differ "
                 f"(a strict subgraph and its supergraph), but {protocol.name} needs exact "
                 f"knowledge of m, and one m cannot be given to both")
-        params = engine.ProtocolParams(n=g_sub.n, tmax=1 if args.tmax is None else args.tmax)
+        params = _verify_params(protocol, g_sub, args)
         try:
             witness = verifier.impossibility_witness(protocol, g_sub, g_super, params, args.budget)
         except ValueError as exc:  # not a strict subgraph on one agent set
@@ -229,10 +239,7 @@ def _verify(args) -> int:
     if not args.graph:
         raise SpecError("verify needs --graph (or --impossibility)")
     g = parse_graph_spec(args.graph, seed)
-    if protocol.needs_m:
-        params = engine.default_params(g, know_m=True, tmax=args.tmax)
-    else:
-        params = engine.ProtocolParams(n=g.n, tmax=1 if args.tmax is None else args.tmax)
+    params = _verify_params(protocol, g, args)
     tg = verifier.build_transition_graph(protocol, g, params, args.budget)
     fsets = verifier.final_sets(tg)
     verdict = verifier.verify_transition_graph(tg, fsets, oracles.safe_predicate(protocol, g, params))

@@ -8,24 +8,24 @@ those tables on demand, finds the bottom SCCs, checks a safe predicate plus
 output constancy on them, and searches subgraph/supergraph pairs for
 witnesses that a degree-claiming protocol cannot be self-stabilizing.
 
-The bottom SCCs are searched in a small forward-closed region instead of
-the whole space (the grand coupling of Propp and Wilson's exact sampling):
-pairs' maps are applied to the image of every key, and the strong
-components run on the forward closure of what is left.  Three facts make
-this exact:
+The bottom SCCs are searched in a small forward-closed region R instead of
+the whole space (the grand coupling of Propp and Wilson's exact sampling).
+R is the forward closure of the image of every key under a composition of
+pairs' maps: those of a maximal matching, then one pair at a time.  Three
+facts make this exact:
 
 - every bottom SCC is closed under each pair's map, so any composition of
   the maps sends it into itself, and the image of every key meets it;
-- the forward closure of that image is forward-closed, so it contains
-  every bottom SCC;
-- a forward-closed region has the same bottom SCCs as the whole graph.
+- R is forward-closed, so it contains every bottom SCC it meets, that is,
+  all of them;
+- a forward-closed region has the same bottom SCCs as the whole graph: a
+  path between two of its keys never leaves it, and no edge leaves it.
 
 So the result does not depend on the schedule of the maps, which only sets
-how small the region is.  The first maps are those of a maximal matching of
-the graph: they act on disjoint agents, so the image of every key under
-them is a product of per-pair images, built without visiting every key.
-Nothing in the search is as large as the configuration space unless the
-region is.
+how small R is.  The matched pairs act on disjoint agents, so the image of
+every key under them is a product of per-pair images, built without
+visiting every key.  Nothing in the search is as large as the configuration
+space unless R is.
 
 Configurations are packed into integers by mixed radix: agent 0 is the least
 significant digit, each digit being the protocol's per-agent state index.
@@ -202,30 +202,10 @@ def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUD
     )
 
 
-# Rows of the adjacency matrix are built this many at a time, so each block
-# is sorted and transposed in cache.
-_ROW_BLOCK = 1 << 14
-
 # A pass is one step per directed pair.  Past the first steps the image
 # is small, so steps cost little; a protocol whose maps are permutations
 # never shrinks it, and pays for this many passes over every key.
 _STALL_PASSES = 2
-
-
-def _sort_columns(block: np.ndarray) -> None:
-    """Sort every column of ``block`` in place, with an insertion sorting network.
-
-    Each compare-exchange is three vector operations over whole rows; with
-    one row per directed pair that beats ``np.sort``, which sorts every
-    column of a few entries on its own.
-    """
-    low = np.empty_like(block[0])
-    for i in range(1, len(block)):
-        for j in range(i, 0, -1):
-            a, b = block[j - 1], block[j]
-            np.minimum(a, b, out=low)
-            np.maximum(a, b, out=b)
-            a[...] = low
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -305,37 +285,18 @@ def _forward_closure(tg: TransitionGraph, start: np.ndarray) -> np.ndarray:
 def _bottom_components(succ: np.ndarray) -> list[np.ndarray]:
     """Bottom SCCs of the graph whose row e is every node's successor under pair e.
 
-    Row k of the adjacency matrix holds k's successor under every pair,
-    sorted, so the CSR is built directly with one entry per pair: indptr
-    steps by the pair count.  A successor that repeats the one before it is
-    replaced by k itself.  scipy's strong components do not return when a
-    row repeats an edge to another node (already on the two-node graph
-    0 -> 1 twice; K2 at tmax=2 ran for more than 30 s), while a self-loop
-    is skipped there like any edge to a visited node, so the components are
-    those of the deduplicated graph.  The strong components read only
-    indices and indptr; the data is a read-only broadcast of one value
-    instead of an array of count * pairs floats.  Each component is an
-    ascending array of nodes; the components are ordered by their smallest.
+    Each component is an ascending array of nodes; the components are
+    ordered by their smallest node.
     """
     pairs, count = succ.shape
-    nnz = count * pairs
-    index_dtype = np.int32 if nnz < 2**31 else np.int64
-    adjacency = np.empty((count, pairs), dtype=index_dtype)
-    for start in range(0, count, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, count)
-        # Column k - start of the block holds node k's successors.
-        block = succ[:, start:stop].astype(index_dtype)
-        _sort_columns(block)
-        repeat = block[1:] == block[:-1]
-        np.copyto(block[1:], np.arange(start, stop, dtype=index_dtype), where=repeat)
-        adjacency[start:stop] = block.T
-    indptr = np.arange(0, nnz + 1, pairs, dtype=index_dtype)
     matrix = sparse.csr_matrix(
-        (np.broadcast_to(np.float64(1.0), (nnz,)), adjacency.reshape(-1), indptr),
+        (np.ones(succ.size, dtype=bool), succ.T.reshape(-1), np.arange(0, succ.size + 1, pairs)),
         shape=(count, count),
     )
+    # On scipy 1.17.1 strong components never return when a row repeats an edge.
+    matrix.sum_duplicates()
     n_comp, labels = csgraph.connected_components(matrix, directed=True, connection="strong")
-    del matrix, adjacency, indptr
+    del matrix
 
     # A component with an edge leaving it is not final.
     leaves = np.zeros(count, dtype=bool)
@@ -358,26 +319,9 @@ def final_sets(tg: TransitionGraph) -> list[frozenset[int]]:
 
     Returned sets are pairwise disjoint, each closed under every directed
     pair (exactly the configurations some schedule can trap the system in),
-    and ordered by their smallest key.
-
-    The strong components run on a forward-closed region R, relabelled
-    0..|R|-1, not on the whole configuration space.  R is the forward
-    closure of the image of every key under a composition of pairs' maps:
-    those of a maximal matching (``_matching_image``), then one pair at a
-    time (``_contracted_image``).  Three facts make the result exact:
-
-    - Every final set is closed under each pair's map, so any composition
-      of the maps sends it into itself.  The image of every key therefore
-      meets every final set, whatever the schedule of the composition.
-    - R is forward-closed, so it contains every final set it meets, that
-      is, all of them.
-    - A forward-closed region has the same bottom SCCs as the whole graph:
-      a path between two of its keys never leaves it, so the strong
-      components inside it are those of the whole graph, and no edge
-      leaves it, so those that are bottom in R are bottom in the whole.
-
-    So the result does not depend on the schedule, which only sets how
-    small R is.
+    and ordered by their smallest key.  The search runs in the forward
+    closure of ``_contracted_image(tg, _matching_image(tg))``; the module
+    docstring says why that is exact.
     """
     return _final_sets_within(tg, _contracted_image(tg, _matching_image(tg)))
 

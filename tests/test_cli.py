@@ -179,6 +179,9 @@ ERROR_REASONS = {
     ("verify", "--protocol", "greedydegree", "--impossibility", "path:3,complete:3",
      "--tmax", "-1"),
     ("run", "--protocol", "ranking", "--graph", "path:3@x"),
+    ("run", "--protocol", "ranking", "--graph", "file:."),
+    (*RUN, "--csv", "."),
+    ("verify", "--protocol", "ranking", "--graph", "file:."),
     (*RUN, "--pmax", "5"),
     (*RUN, "--emax", "3"),
     ("sweep", "--protocol", "ranking", "--kinds", "path", "--ns", "3,x"),
