@@ -302,18 +302,18 @@ def cmd_game(args) -> int:
         raise SpecError("game needs exactly one of --counts or --states")
     if args.counts is not None:
         counts = tuple(_int_list(args.counts, "--counts"))
-        states = []
-        for value, count in enumerate(counts):
-            states.extend([value] * count)
+        states = None
     else:
         states = _int_list(args.states, "--states")
         counts = oracles.game_counts(states)
     record = {
         "record": "game",
         "counts": list(counts),
-        "stable": sorted(oracles.game_stable_set(counts)),
+        "stable": sorted(oracles.game_stable_set(counts)),  # validates the counts
     }
     if args.brute:
+        if states is None:
+            states = [value for value, count in enumerate(counts) for _ in range(count)]
         record["brute"] = sorted(oracles.game_brute_force(states))
     _emit(record)
     return EXIT_OK

@@ -5,7 +5,7 @@ functions and whether it needs exact knowledge of m.  Its ``step`` is
 unchecked; ``checked_step`` is the single place that validates both endpoint
 states before stepping.  The engine reaches a protocol by attribute only.
 The record derives its state functions (validation, count, index, uniform
-draw) from the field table.
+draw, JSON) from the field table.
 
 A configuration is a plain tuple of per-agent states (agent id = index).
 One step = one interaction: a directed pair (initiator, responder) drawn
@@ -62,11 +62,12 @@ _INT64_BOUND = 1 << 63  # the largest size rng.integers(0, size) takes
 
 
 class Field(NamedTuple):
-    """One field of a per-agent state: the values lo..lo+size(params)-1."""
+    """One field of a per-agent state: values lo..lo+size(params)-1, in JSON as render(value)."""
 
     name: str
     lo: int
     size: Callable[[Any], int]
+    render: Callable[[int], Any] = int
 
 
 def random_below(rng: np.random.Generator, size: int) -> int:
@@ -98,15 +99,17 @@ class Protocol:
     rebuilds the state from them.  ``step(s0, s1, params)`` is one
     interaction (s0 initiates, s1 responds) without domain checks; wrap it
     in ``checked_step`` for untrusted states.  ``output(s)`` is the agent's
-    claim and ``to_json(s)`` renders a state.  ``needs_m`` declares that the
-    protocol needs exact knowledge of the pair count m.
+    claim.  ``needs_m`` declares that the protocol needs exact knowledge of
+    the pair count m.
 
-    The state functions are derived from the table.  ``state_to_index`` and
-    ``validate_state`` raise DomainViolation naming the first field outside
-    lo..lo+size-1.  The state index (the verifier's packing order) is mixed
-    radix over the offsets value - lo, first field most significant, so
-    ``state_count`` is the product of the sizes and the index of a state
-    never needs more bits than its fields' binary widths together.
+    The state functions are derived from the table.  ``to_json(s)`` maps
+    each field's name, in table order, to its ``render`` of the value.
+    ``state_to_index`` and ``validate_state`` raise DomainViolation naming
+    the first field outside lo..lo+size-1.  The state index (the verifier's
+    packing order) is mixed radix over the offsets value - lo, first field
+    most significant, so ``state_count`` is the product of the sizes and the
+    index of a state never needs more bits than its fields' binary widths
+    together.
     ``random_states`` draws ``count`` states, each field in table order,
     with the numbers of one ``random_below`` per field in turn: when no
     field size is above 2^63 they come from one
@@ -126,7 +129,6 @@ class Protocol:
     unflatten: Callable[[Sequence[int]], Any]
     step: Callable[[Any, Any, Any], tuple]
     output: Callable[[Any], Any]
-    to_json: Callable[[Any], dict]
     needs_m: bool = False
 
     _latest = (object(), ())  # (params, sizes) of the latest call; not a field, set per record
@@ -146,12 +148,15 @@ class Protocol:
 
     def state_to_index(self, s, params) -> int:
         i = 0
-        for (name, lo, _), size, value in zip(self.fields, self._sizes(params), self.flatten(s),
-                                              strict=True):
+        for (name, lo, _, _), size, value in zip(self.fields, self._sizes(params),
+                                                 self.flatten(s), strict=True):
             if not lo <= value < lo + size:
                 raise DomainViolation(f"{name} out of {lo}..{lo + size - 1} in {s}")
             i = i * size + (value - lo)
         return i
+
+    def to_json(self, s) -> dict:
+        return {f.name: f.render(v) for f, v in zip(self.fields, self.flatten(s))}
 
     def validate_state(self, s, params) -> None:
         self.state_to_index(s, params)
@@ -213,9 +218,6 @@ class ProtocolParams:
                 raise DomainViolation("pmax >= 1 and emax >= 1 are required when m is known")
         elif self.pmax is not None or self.emax is not None:
             raise DomainViolation("pmax and emax pace the neighbor audit, which needs m known")
-
-    def to_json_fields(self) -> dict:
-        return {"tmax": self.tmax, "pmax": self.pmax, "emax": self.emax}
 
 
 def default_params(

@@ -18,10 +18,11 @@ two sets take 2n bits of it and every other field a logarithmic number.
 
 The module's field table ``FIELDS`` and functions make up ``NEIGHBOR``, the
 protocol's one ``engine.Protocol`` record, which declares that it needs
-exact knowledge of m and derives its state functions from the table;
-``step`` is unchecked (validate states with ``engine.checked_step``).
-``_audit`` is the Python twin of ``_loop.c``'s ``audit``: ``step`` runs
-``ranking.step`` and the signal, then applies it to each agent.
+exact knowledge of m and derives its state functions, JSON included, from
+the table; ``step`` is unchecked (validate states with
+``engine.checked_step``).  ``_audit`` is the Python twin of ``_loop.c``'s
+``audit``: ``step`` runs ``ranking.step`` and the signal, then applies it to
+each agent.
 """
 
 from __future__ import annotations
@@ -117,40 +118,15 @@ def degree_output(s: NeighborState) -> int:
     return s.neighbors.bit_count()
 
 
-def to_json(s: NeighborState) -> dict:
-    obj = ranking.to_json(s.rank)
-    obj.update(
-        degreeT=s.degreeT,
-        dsum=s.dsum,
-        resetE=s.resetE,
-        timerP=s.timerP,
-        neighbors=sorted(bits(s.neighbors)),
-        counted=sorted(bits(s.counted)),
-    )
-    return obj
-
-
-def from_json(obj: dict) -> NeighborState:
-    return NeighborState(
-        rank=ranking.from_json(obj),
-        degreeT=int(obj["degreeT"]),
-        dsum=int(obj["dsum"]),
-        resetE=int(obj["resetE"]),
-        timerP=int(obj["timerP"]),
-        neighbors=mask_of(obj["neighbors"]),
-        counted=mask_of(obj["counted"]),
-    )
-
-
 FIELDS = ranking.FIELDS + (
     Field("degreeT", 0, lambda params: params.n + 1),
     Field("dsum", 0, lambda params: 2 * params.m_known + 2),
     Field("resetE", 0, lambda params: params.emax + 1),
     Field("timerP", 0, lambda params: params.pmax + 1),
-    Field("neighbors", 0, lambda params: 1 << params.n),
-    Field("counted", 0, lambda params: 1 << params.n),
+    Field("neighbors", 0, lambda params: 1 << params.n, lambda mask: list(bits(mask))),
+    Field("counted", 0, lambda params: 1 << params.n, lambda mask: list(bits(mask))),
 )
-"""The state's fields in index order: the rank part's, then the rest as declared."""
+"""The state's fields in index order: the rank part's, then the rest; sets render as label lists."""
 _RANK_FIELDS = len(ranking.FIELDS)
 
 
@@ -170,6 +146,5 @@ NEIGHBOR = Protocol(
     unflatten=unflatten,
     step=step,
     output=output,
-    to_json=to_json,
     needs_m=True,
 )

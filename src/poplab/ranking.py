@@ -20,8 +20,8 @@ tiny ``tmax``, just slower, which the model checker exploits.
 
 The module's field table ``FIELDS`` and functions make up ``RANKING``, the
 protocol's one ``engine.Protocol`` record, which derives its state
-functions from the table; ``step`` is unchecked (validate states with
-``engine.checked_step``).  ``_host`` is the Python twin of
+functions, JSON included, from the table; ``step`` is unchecked (validate
+states with ``engine.checked_step``).  ``_host`` is the Python twin of
 ``_loop.c``'s ``host``: ``step`` swaps the tokens and applies it to each agent.
 """
 
@@ -33,7 +33,6 @@ from .engine import Field, Protocol
 
 WHITE, RED, BLUE = 0, 1, 2
 COLOR_NAMES = {WHITE: "white", RED: "red", BLUE: "blue"}
-COLOR_CODES = {name: code for code, name in COLOR_NAMES.items()}
 
 
 class RankState(NamedTuple):
@@ -99,34 +98,14 @@ def leader_output(s: RankState) -> str:
     return "L" if s.idA == 0 else "F"
 
 
-def to_json(s: RankState) -> dict:
-    return {
-        "idA": s.idA,
-        "idT": s.idT,
-        "colorA": COLOR_NAMES[s.colorA],
-        "colorT": COLOR_NAMES[s.colorT],
-        "timerT": s.timerT,
-    }
-
-
-def from_json(obj: dict) -> RankState:
-    return RankState(
-        idA=int(obj["idA"]),
-        idT=int(obj["idT"]),
-        colorA=COLOR_CODES[obj["colorA"]],
-        colorT=COLOR_CODES[obj["colorT"]],
-        timerT=int(obj["timerT"]),
-    )
-
-
 FIELDS = (
     Field("idA", 0, lambda params: params.n),
     Field("idT", 0, lambda params: params.n),
-    Field("colorA", WHITE, lambda params: 3),
-    Field("colorT", RED, lambda params: 2),
+    Field("colorA", WHITE, lambda params: 3, COLOR_NAMES.__getitem__),
+    Field("colorT", RED, lambda params: 2, COLOR_NAMES.__getitem__),
     Field("timerT", 0, lambda params: params.tmax + 1),
 )
-"""The state's fields in index order, idA most significant."""
+"""The state's fields in index order, idA most significant; colors render as their names."""
 
 
 flatten = tuple  # a RankState holds its field values in FIELDS order
@@ -140,5 +119,4 @@ RANKING = Protocol(
     unflatten=unflatten,
     step=step,
     output=output,
-    to_json=to_json,
 )

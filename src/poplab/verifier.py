@@ -374,8 +374,6 @@ class Witness(NamedTuple):
 def _json_output(value):
     if isinstance(value, tuple):
         return [_json_output(x) for x in value]
-    if isinstance(value, (frozenset, set)):
-        return sorted(value)
     return value
 
 
@@ -550,12 +548,11 @@ def _greedy_step(s0: GreedyDegreeState, s1: GreedyDegreeState, params):
 GREEDY_DEGREE = Protocol(
     name="greedydegree",
     fields=(Field("label", 0, lambda params: params.n),
-            Field("seen", 0, lambda params: 1 << params.n)),
+            Field("seen", 0, lambda params: 1 << params.n, lambda mask: list(bits(mask)))),
     flatten=lambda s: s,
     unflatten=GreedyDegreeState._make,
     step=_greedy_step,
     output=lambda s: s.seen.bit_count(),
-    to_json=lambda s: {"label": s.label, "seen": sorted(bits(s.seen))},
 )
 
 # Interaction-blind strawman: states never change, output = state (a degree
@@ -569,5 +566,4 @@ FIXED_OUTPUT = Protocol(
     unflatten=lambda values: values[0],
     step=lambda s0, s1, params: (s0, s1),
     output=lambda s: s,
-    to_json=lambda s: {"claim": s},
 )

@@ -187,6 +187,7 @@ ERROR_REASONS = {
     ("sweep", "--protocol", "ranking", "--kinds", "path", "--ns", "3,x"),
     ("game", "--states", "a"),
     ("game", "--counts", "1,x"),
+    ("game", "--counts", "99999999999999999999,0"),
     NEIGHBOR_IMPOSSIBILITY,
 ], ids=lambda argv: " ".join(argv[-2:]) + f" ({argv[0]})")
 def test_out_of_domain_input_exits_2(capsys, argv):

@@ -20,7 +20,9 @@ def _neighbor_params(n, m, tmax, pmax, emax):
 
 # state_count and a digest of sampled indices, their decoded states, ten
 # random_state draws, their indices and the rng's next value, all recorded
-# with the hand-written state functions the field tables replaced.
+# with the hand-written state functions the field tables replaced; the JSON
+# of the states (key order included, as json.dumps keeps it) was recorded
+# with the hand-written per-protocol renderers that Field.render replaced.
 PINNED = [
     (RANKING, ProtocolParams(n=2, tmax=1), 48, "45e51c3314d1e198"),
     (RANKING, ProtocolParams(n=5, tmax=7), 1200, "9efe516b66b457fd"),

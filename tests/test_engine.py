@@ -34,7 +34,6 @@ IDENTITY = Protocol(
     unflatten=lambda values: values[0],
     step=lambda s0, s1, params: (s0, s1),
     output=lambda s: s,
-    to_json=lambda s: {"value": s},
 )
 
 

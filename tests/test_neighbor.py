@@ -20,9 +20,7 @@ from poplab.neighbor import (
     NEIGHBOR,
     NeighborState,
     bits,
-    from_json,
     mask_of,
-    to_json,
 )
 from poplab.oracles import neighbor_safe, neighbor_safe_predicate
 from poplab.ranking import BLUE, RANKING, RED, WHITE, RankState
@@ -288,15 +286,17 @@ def test_output_views():
     assert neighbor.degree_output(s) == 2
 
 
-def test_json_roundtrip():
+def test_to_json():
     s = NeighborState(RankState(2, 0, WHITE, BLUE, 5), 3, 4, 1, 2,
                       mask_of([0, 3]), mask_of([1]))
     params = ProtocolParams(n=4, m_known=4, tmax=6, pmax=9, emax=3)
-    obj = to_json(s)
-    assert obj["neighbors"] == [0, 3]
-    assert obj["counted"] == [1]
-    assert from_json(obj) == s
-    NEIGHBOR.validate_state(from_json(obj), params)
+    NEIGHBOR.validate_state(s, params)
+    obj = NEIGHBOR.to_json(s)
+    assert obj == {
+        "idA": 2, "idT": 0, "colorA": "white", "colorT": "blue", "timerT": 5,
+        "degreeT": 3, "dsum": 4, "resetE": 1, "timerP": 2, "neighbors": [0, 3], "counted": [1],
+    }
+    assert list(obj) == [f.name for f in NEIGHBOR.fields]
 
 
 def test_state_index_roundtrip():

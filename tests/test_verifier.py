@@ -276,7 +276,6 @@ OSCILLATOR = Protocol(
     unflatten=lambda values: values[0],
     step=lambda s0, s1, params: (1 - s0, 1 - s1),
     output=lambda s: s,
-    to_json=lambda s: {"bit": s},
 )
 
 
@@ -310,7 +309,6 @@ SWAP = Protocol(
     unflatten=lambda values: values[0],
     step=lambda s0, s1, params: (s1, s0),
     output=lambda s: s,
-    to_json=lambda s: {"value": s},
 )
 
 
@@ -367,7 +365,6 @@ TO_ZERO = Protocol(
     unflatten=lambda values: values[0],
     step=lambda s0, s1, params: (0, 0),
     output=lambda s: s,
-    to_json=lambda s: {"value": s},
 )
 
 
