@@ -67,6 +67,8 @@ from .verifier import (
     verify_transition_graph,
 )
 
+from . import _compiled  # loaded with the package, not by the first trial (see _compiled)
+
 __version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,8 +7,10 @@ under the sha256 of the source, written to a temporary name and moved into
 place, so concurrent first uses cannot see a half-written file and an edited
 source never loads a stale build.  When there is no compiler or the build
 fails, ``library()`` returns None and ``engine.run_until`` keeps its Python
-loop.  ``engine.run_until`` is the only caller; nothing imports this module
-before a run needs it.
+loop.  ``engine.run_until`` is the only caller.  The package imports this
+module with itself, so that a process's first trial does not pay for loading
+it; ``engine`` cannot import it at its top, because this module imports
+``ranking``, which imports ``engine``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import functools
 import hashlib
 import os
 import shutil
-import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,8 @@ def _build() -> Path:
         raise OSError("no C compiler: cc is not on PATH")
     cache.parent.mkdir(exist_ok=True)
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    import subprocess  # only a build needs it; most processes find the cached library
+
     try:
         proc = subprocess.run(
             [cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(SOURCE)],

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it on first use, which would be inside the first trial
 
 from .errors import DomainViolation, MissingKnowledge, NotAnEdge
 from .graph import Graph
@@ -383,7 +384,7 @@ def _compiled_loop(protocol, g: Graph, params, c0, safe_predicate):
     safe_for = getattr(safe_predicate, "safe_for", None)
     if safe_for is None:
         return None
-    from . import _compiled  # only runs that may use the library import it
+    from . import _compiled  # not at the top: _compiled imports ranking, which imports engine
 
     name, pred_g, pred_params = safe_for
     if (

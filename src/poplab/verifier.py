@@ -41,8 +41,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .engine import Field, Protocol
 from .errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
@@ -68,6 +66,7 @@ class TransitionGraph:
     agent_state_count: int
     config_count: int
     directed_pairs: tuple[tuple[int, int], ...]
+    states: tuple  # the q per-agent states; digit i packs states[i]
     # (pairs, q*q) int64: entry i*q + j of row e is what directed_pairs[e] = (u, v)
     # adds to a key whose agent u holds digit i and agent v digit j
     deltas: np.ndarray
@@ -77,7 +76,7 @@ class TransitionGraph:
         states = []
         for _ in range(self.graph.n):
             key, digit = divmod(key, q)
-            states.append(self.protocol.state_from_index(digit, self.params))
+            states.append(self.states[digit])
         return tuple(states)
 
     def encode(self, states) -> int:
@@ -138,7 +137,7 @@ class TransitionGraph:
 
 
 def _pair_tables(protocol, params, q: int):
-    """Tabulate the two-agent transition on state indices: (q0,q1) -> (q0',q1').
+    """The q states by index, and the two-agent transition on state indices: (q0,q1) -> (q0',q1').
 
     Step results are looked up among the q states just enumerated, which
     are the whole per-agent domain, so a result not among them is out of
@@ -163,7 +162,7 @@ def _pair_tables(protocol, params, q: int):
             r0, r1 = step(s0, s1, params)
             row0[j] = to_index(r0)
             row1[j] = to_index(r1)
-    return t0, t1
+    return tuple(states), t0, t1
 
 
 def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUDGET) -> TransitionGraph:
@@ -185,7 +184,7 @@ def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUD
     if count >= 2**63:
         raise TooLarge(count, budget, "does not fit in int64 keys (2^63)")
 
-    t0, t1 = _pair_tables(protocol, params, q)
+    states, t0, t1 = _pair_tables(protocol, params, q)
     digits = np.arange(q, dtype=np.int64)
     deltas = np.stack([
         ((t0 - digits[:, None]) * q**u + (t1 - digits[None, :]) * q**v).reshape(-1)
@@ -198,6 +197,7 @@ def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUD
         agent_state_count=q,
         config_count=count,
         directed_pairs=g.directed_pairs,
+        states=states,
         deltas=deltas,
     )
 
@@ -282,24 +282,87 @@ def _forward_closure(tg: TransitionGraph, start: np.ndarray) -> np.ndarray:
     return region
 
 
+def _strong_components(succ: np.ndarray) -> tuple[int, np.ndarray]:
+    """Strong components of the graph whose row e is every node's successor under pair e.
+
+    Returns the number of components and each node's component label.
+    Self-loops and repeated edges cannot join components, so numpy drops
+    them first, and only the nodes left with an edge start a search.  The
+    search is Tarjan's (SIAM J. Comput. 1972), kept iterative by a path of
+    (node, next edge) entries in place of recursion.
+    """
+    pairs, count = succ.shape
+    keep = succ != np.arange(count, dtype=succ.dtype)
+    moves = np.flatnonzero(keep.any(axis=0))  # nodes with an edge to another node
+    moved, keep = succ[:, moves], keep[:, moves]
+    for e in range(1, pairs):
+        for f in range(e):
+            keep[e] &= moved[e] != moved[f]
+    first = np.zeros(count + 1, dtype=np.int64)  # node v's edges: targets[first[v]:first[v + 1]]
+    first[moves + 1] = keep.sum(axis=0)
+    # Memoryviews index as fast as lists and hold 4 or 8 bytes per entry, not an int object.
+    first = memoryview(np.cumsum(first))
+    targets = memoryview(moved.T[keep.T])
+    del moved, keep
+
+    index = [-1] * count  # visit order; -1 until visited
+    low = [0] * count
+    label = [-1] * count  # -1 until the node's component is complete
+    stack = []
+    n_comp = order = 0
+    for root in moves.tolist():
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = order
+        order += 1
+        stack.append(root)
+        path = [(root, first[root])]
+        while path:
+            v, i = path[-1]
+            end = first[v + 1]
+            while i < end:
+                w = targets[i]
+                i += 1
+                if index[w] < 0:
+                    break
+                if label[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:  # every edge of v is done
+                path.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = n_comp
+                        if w == v:
+                            break
+                    n_comp += 1
+                else:  # v is not its component's root, so it has a parent
+                    u = path[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                continue
+            path[-1] = (v, i)
+            index[w] = low[w] = order
+            order += 1
+            stack.append(w)
+            path.append((w, first[w]))
+
+    labels = np.array(label, dtype=np.int64)
+    alone = np.flatnonzero(labels < 0)  # never visited: no edge in or out
+    labels[alone] = np.arange(n_comp, n_comp + alone.size)
+    return n_comp + alone.size, labels
+
+
 def _bottom_components(succ: np.ndarray) -> list[np.ndarray]:
     """Bottom SCCs of the graph whose row e is every node's successor under pair e.
 
     Each component is an ascending array of nodes; the components are
     ordered by their smallest node.
     """
-    pairs, count = succ.shape
-    matrix = sparse.csr_matrix(
-        (np.ones(succ.size, dtype=bool), succ.T.reshape(-1), np.arange(0, succ.size + 1, pairs)),
-        shape=(count, count),
-    )
-    # On scipy 1.17.1 strong components never return when a row repeats an edge.
-    matrix.sum_duplicates()
-    n_comp, labels = csgraph.connected_components(matrix, directed=True, connection="strong")
-    del matrix
+    n_comp, labels = _strong_components(succ)
 
     # A component with an edge leaving it is not final.
-    leaves = np.zeros(count, dtype=bool)
+    leaves = np.zeros(labels.size, dtype=bool)
     for row in succ:
         leaves |= labels[row] != labels
     has_out = np.zeros(n_comp, dtype=bool)

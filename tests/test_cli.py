@@ -445,6 +445,35 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["stable"] == [0]
 
 
+def test_no_scipy_at_run_time():
+    # Importing scipy.sparse.csgraph costs a process about 0.3 s; a trial, a
+    # verify and the impossibility search must not load any of scipy.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import contextlib, io, sys
+import poplab, poplab.cli
+from poplab import RANKING, default_params, generate_graph, rank_safe_predicate, run_trial
+g = generate_graph("cycle", 5)
+params = default_params(g)
+run_trial(RANKING, g, params, 1, max_steps=10**8, safe_predicate=rank_safe_predicate(params),
+          closure_window=1000)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [poplab.cli.main(["verify", "--protocol", "ranking", "--graph", "path:3"]),
+             poplab.cli.main(["verify", "--protocol", "greedydegree",
+                              "--impossibility", "path:3,complete:3"])]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 3] []"
+
+
 @pytest.mark.parametrize("option,value", [
     ("--pmax", "99999999999999999999"),
     ("--emax", "9223372036854775808"),

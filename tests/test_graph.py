@@ -1,9 +1,12 @@
 import random
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from poplab.errors import BadId, Infeasible, NotConnected, NotSimple
 from poplab.graph import (
+    GENERATOR_KINDS,
     build_graph,
     dump_edge_list,
     generate_graph,
@@ -29,6 +32,8 @@ def test_build_path():
 def test_build_rejects_disconnected():
     with pytest.raises(NotConnected):
         build_graph([(0, 1)], 3)
+    with pytest.raises(NotConnected, match=r"^agents \[2, 3, 4\] unreachable from agent 0$"):
+        build_graph([(0, 1), (2, 3), (3, 4)], 5)
 
 
 def test_build_rejects_self_loop_and_duplicates():
@@ -132,6 +137,36 @@ def test_metrics_triangle_inequality_and_zero_diagonal():
             for v in range(n):
                 for w in range(n):
                     assert dist[u, v] <= dist[u, w] + dist[w, v]
+
+
+def assert_networkx_distances(g):
+    expected = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, lengths in nx.all_pairs_shortest_path_length(nx.Graph(g.edges)):
+        for v, d in lengths.items():
+            expected[u, v] = d
+    met = metrics(g)
+    assert met.distances.dtype == np.int64
+    np.testing.assert_array_equal(met.distances, expected)
+    assert met.diameter == expected.max()
+
+
+@pytest.mark.parametrize("kind, n", [
+    (kind, n) for kind in GENERATOR_KINDS for n in (2, 3, 8, 33, 64) if (kind, n) != ("cycle", 2)])
+def test_metrics_match_networkx(kind, n):
+    if kind != "random_connected":
+        assert_networkx_distances(generate_graph(kind, n))
+        return
+    max_m = n * (n - 1) // 2
+    for m in sorted({n - 1, min(2 * n, max_m), max_m}):
+        assert_networkx_distances(generate_graph("random_connected", n, m, seed=n))
+
+
+def test_metrics_match_networkx_on_seeded_random_graphs():
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(2, 40)
+        m = rng.randint(n - 1, n * (n - 1) // 2)
+        assert_networkx_distances(generate_graph("random_connected", n, m, seed=rng.getrandbits(32)))
 
 
 def test_k3_metrics():

@@ -16,6 +16,7 @@ from poplab.verifier import (
     GREEDY_DEGREE,
     GreedyDegreeState,
     Witness,
+    _bottom_components,
     _matching_image,
     _pair_tables,
     build_transition_graph,
@@ -89,7 +90,7 @@ def test_successors_match_digit_formula(kind, n, tmax):
     params = ProtocolParams(n=n, tmax=tmax)
     tg = build_transition_graph(RANKING, g, params)
     q = tg.agent_state_count
-    t0, t1 = _pair_tables(RANKING, params, q)
+    _, t0, t1 = _pair_tables(RANKING, params, q)
     keys = np.arange(tg.config_count, dtype=np.int64)
     assert any(u > v for u, v in tg.directed_pairs)
     assert tg.successors.shape == (len(tg.directed_pairs), tg.config_count)
@@ -194,9 +195,7 @@ def test_greedy_degree_final_sets_are_absorbing_singletons():
     (FIXED_OUTPUT, "complete", 3, 1),
 ], ids=lambda x: getattr(x, "name", x))
 def test_final_sets_match_attracting_components(protocol, kind, n, tmax):
-    # The ranking and greedydegree rows repeat edges to other configurations,
-    # on which scipy's strong components hang unless final_sets merges the
-    # repeats.
+    # The ranking and greedydegree rows repeat edges to other configurations.
     g = generate_graph(kind, n)
     tg = build_transition_graph(protocol, g, ProtocolParams(n=n, tmax=tmax))
     digraph = nx.DiGraph()
@@ -208,9 +207,10 @@ def test_final_sets_match_attracting_components(protocol, kind, n, tmax):
 
 
 def test_bottom_components_return_on_a_repeated_edge():
-    # Node 0 goes to node 1 under both pairs.  scipy's strong components never
-    # return on this graph unless the repeated edge is merged, so the call
-    # runs in a child process that a timeout can stop.
+    # Node 0 goes to node 1 under both pairs, and node 1 to itself: a repeated
+    # edge and self-loops, which the strong-component search drops before it
+    # starts.  A search that looped on such a graph would never return, so the
+    # call runs in a child process that a timeout can stop.
     import os
     import subprocess
     import sys
@@ -312,24 +312,57 @@ SWAP = Protocol(
 )
 
 
-def _whole_space_final_sets(tg):
-    """Bottom SCCs of the whole deduplicated graph, ascending, ordered by smallest key."""
+def _scipy_bottom_components(succ):
+    """Bottom SCCs of the graph whose row e is every node's successor under pair e, by
+    scipy's strong components of the deduplicated graph and a scan for leaving edges;
+    each ascending, ordered by smallest node."""
     from scipy import sparse
     from scipy.sparse import csgraph
 
-    count, pairs = tg.config_count, len(tg.successors)
+    pairs, count = succ.shape
     matrix = sparse.csr_matrix(
-        (np.ones(count * pairs), np.ascontiguousarray(tg.successors.T).reshape(-1),
+        (np.ones(count * pairs), np.ascontiguousarray(succ.T).reshape(-1),
          np.arange(0, count * pairs + 1, pairs)), shape=(count, count))
     matrix.sum_duplicates()
     n_comp, labels = csgraph.connected_components(matrix, directed=True, connection="strong")
     has_out = np.zeros(n_comp, dtype=bool)
-    for row in tg.successors:
+    for row in succ:
         has_out[labels[labels[row] != labels]] = True
     components = {}
     for key in np.flatnonzero(~has_out[labels]).tolist():
         components.setdefault(labels[key], []).append(key)
     return sorted(components.values())
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_bottom_components_match_scipy(seed):
+    # Seeded successor tables in four shapes, cycled by the seed: random
+    # targets, targets near the node (many small components), rows that are
+    # all permutations (every component is an orbit, and final), and nodes
+    # whose only edges are self-loops.  All but the permutations get extra
+    # self-loops, and every table of two or more rows repeats its first row
+    # as its last.
+    rng = np.random.default_rng(seed)
+    pairs, count = int(rng.integers(1, 7)), int(rng.integers(1, 400))
+    nodes = np.arange(count)
+    shape = seed % 4
+    if shape == 1:
+        succ = (nodes + rng.integers(-3, 4, size=(pairs, count))) % count
+    elif shape == 2:
+        succ = np.stack([rng.permutation(count) for _ in range(pairs)])
+    else:
+        succ = rng.integers(0, count, size=(pairs, count))
+    if shape != 2:
+        loops = rng.random((pairs, count)) < 0.3
+        succ[loops] = np.broadcast_to(nodes, succ.shape)[loops]
+    if shape == 3:
+        idle = rng.random(count) < 0.2
+        succ[:, idle] = nodes[idle]
+    if pairs > 1:
+        succ[-1] = succ[0]
+    succ = succ.astype(np.int32)
+    expected = _scipy_bottom_components(succ)
+    assert [c.tolist() for c in _bottom_components(succ)] == expected
 
 
 @pytest.mark.parametrize("protocol, kind, n, tmax", [
@@ -350,7 +383,7 @@ def test_final_sets_match_the_whole_space(protocol, kind, n, tmax):
     g = generate_graph(kind, n)
     tg = build_transition_graph(protocol, g, ProtocolParams(n=n, tmax=tmax))
     got = final_sets(tg)
-    assert [sorted(f) for f in got] == _whole_space_final_sets(tg)
+    assert [sorted(f) for f in got] == _scipy_bottom_components(tg.successors)
     if protocol in (FIXED_OUTPUT, SWAP):
         assert sum(map(len, got)) == tg.config_count
     every_key = np.arange(tg.config_count, dtype=tg.successors.dtype)
