@@ -1,16 +1,18 @@
-"""The compiled step loop: build, load and drive ``_loop.c``.
+"""The compiled step: build, load and drive ``_loop.c``.
 
 ``library()`` compiles ``_loop.c`` on first use with the system C compiler
 (``cc -O2 -shared -fPIC``, in a child process) and loads it with ``ctypes``.
 The shared library is cached next to the bytecode in ``poplab/__pycache__/``
 under the sha256 of the source, written to a temporary name and moved into
 place, so concurrent first uses cannot see a half-written file and an edited
-source never loads a stale build.  When there is no compiler or the build
-fails, ``library()`` returns None and ``engine.run_until`` keeps its Python
-loop.  ``engine.run_until`` is the only caller.  The package imports this
-module with itself, so that a process's first trial does not pay for loading
-it; ``engine`` cannot import it at its top, because this module imports
-``ranking``, which imports ``engine``.
+source never loads a stale build.  ``library_for(protocol, params)`` is the
+one answer to whether ``_loop.c`` steps a record: ``engine.run_until`` runs
+``CompiledLoop``, and ``verifier._pair_tables`` calls ``step_pairs``, only
+when it returns the library; otherwise both keep their Python code, which is
+also what runs when there is no compiler or the build fails.  The package
+imports this module with itself, so that a process's first trial does not
+pay for loading it; ``engine`` cannot import it at its top, because this
+module imports ``ranking``, which imports ``engine``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import os
 import shutil
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -58,21 +61,45 @@ def _build() -> Path:
     return cache
 
 
-def load():
-    """``poplab_advance`` from the built library; raises OSError when unavailable."""
-    advance = ctypes.CDLL(str(_build())).poplab_advance
+class Library(NamedTuple):
+    """The built library's entries, with their ctypes signatures set."""
+
+    advance: Any  # poplab_advance
+    step_pairs: Any  # poplab_step_pairs
+
+
+def load() -> Library:
+    """The entries of the built library; raises OSError when unavailable."""
+    lib = ctypes.CDLL(str(_build()))
+    advance = lib.poplab_advance
     advance.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
     advance.restype = ctypes.c_int64
-    return advance
+    step_pairs = lib.poplab_step_pairs
+    step_pairs.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    step_pairs.restype = None
+    return Library(advance, step_pairs)
 
 
 @functools.cache
-def library():
+def library() -> Library | None:
     """``load()``, once per process, or None when the library cannot be built or loaded."""
     try:
         return load()
     except OSError:
         return None
+
+
+def library_for(protocol, params) -> Library | None:
+    """The library when ``_loop.c`` steps this record with these params, else None.
+
+    The record must be the registered ``RANKING`` or ``NEIGHBOR`` itself (a
+    ``dataclasses.replace`` copy is another record) and every param must
+    ``fit``.  Those are checked before ``library()``, so a run or a verify of
+    any other protocol never builds or loads the library.
+    """
+    if protocol is not PROTOCOLS.get(protocol.name) or not fits(params):
+        return None
+    return library()
 
 
 def _params_row(params) -> list[int]:
@@ -85,6 +112,26 @@ def fits(params) -> bool:
     return params.n <= MAX_AGENTS and all(0 <= v < MAX_PARAM for v in _params_row(params))
 
 
+def _header(protocol, n: int, params) -> np.ndarray:
+    """The C header ``cfg``: n, the protocol flag, then the params."""
+    return np.array([n, protocol is PROTOCOLS["neighbor"], *_params_row(params)], dtype=np.int64)
+
+
+def step_pairs(lib: Library, protocol, params, rows: np.ndarray) -> None:
+    """``protocol.step`` applied in place to every (initiator, responder) pair of ``rows``.
+
+    ``rows`` has shape (count, 2, fields), C-contiguous uint64, each row a
+    state's field values as ``protocol.flatten`` gives them; ``rows[i, 0]``
+    initiates and ``rows[i, 1]`` responds.  The states must lie in the
+    domain of ``params``: C does not check them.
+    """
+    if (rows.dtype != np.uint64 or not rows.flags.c_contiguous
+            or rows.shape[1:] != (2, len(protocol.fields))):
+        raise ValueError("state pairs must be a contiguous uint64 array, (count, 2, fields)")
+    cfg = _header(protocol, params.n, params)  # referenced while C reads it
+    lib.step_pairs(cfg.ctypes.data, rows.ctypes.data, len(rows))
+
+
 class CompiledLoop:
     """One run's configuration in C memory, advanced one block of pair indices at a time.
 
@@ -95,12 +142,11 @@ class CompiledLoop:
     order of ``protocol.fields``.
     """
 
-    def __init__(self, advance, protocol, g, params, states):
+    def __init__(self, lib: Library, protocol, g, params, states):
         self._unflatten = protocol.unflatten
-        self._advance = advance
+        self._advance = lib.advance
         # The arrays stay referenced by self for as long as C reads them.
-        self._cfg = np.array(
-            [g.n, protocol is PROTOCOLS["neighbor"], *_params_row(params)], dtype=np.int64)
+        self._cfg = _header(protocol, g.n, params)
         self._pairs, self._adj_start, self._adj = g.pair_arrays
         self._states = np.array([protocol.flatten(s) for s in states], dtype=np.uint64)
         self._hit = np.zeros(1, dtype=np.int64)

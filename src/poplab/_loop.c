@@ -1,4 +1,5 @@
-/* The inner loop of engine.run_until for the ranking and neighbor protocols.
+/* The inner loop of engine.run_until for the ranking and neighbor protocols,
+ * and the two-agent step that verifier._pair_tables tabulates.
  *
  * poplab_advance applies the scheduled pairs of one block of pair indices to
  * the configuration in place and stops at the first step after which the
@@ -17,6 +18,10 @@
  * both count n labels.  That gate is exact: RANKED, which neighbor_safe
  * checks first, holds only when both labelings are permutations of 0..n-1.
  * The closure phase keeps no census.
+ *
+ * poplab_step_pairs applies the same step in place to each of count
+ * (initiator, responder) row pairs, pair i being rows 2i and 2i+1, with no
+ * schedule and no stop condition.
  *
  * A configuration is n rows of uint64 fields, one row per agent in the order
  * of the protocol's declared field table (ranking.FIELDS, RANK_FIELDS wide,
@@ -273,4 +278,18 @@ int64_t poplab_advance(const int64_t *cfg, const int64_t *pairs, const int64_t *
     }
     *hit = 0;
     return len;
+}
+
+void poplab_step_pairs(const int64_t *cfg, u64 *rows, int64_t count)
+{
+    int neighbor = cfg[CFG_NEIGHBOR] != 0;
+    int64_t stride = neighbor ? NEIGHBOR_FIELDS : RANK_FIELDS;
+    u64 n = (u64)cfg[CFG_N], tmax = (u64)cfg[CFG_TMAX];
+    for (int64_t i = 0; i < count; i++) {
+        u64 *a0 = rows + 2 * i * stride;
+        if (neighbor)
+            neighbor_step(a0, a0 + stride, cfg);
+        else
+            rank_step(a0, a0 + stride, n, tmax);
+    }
 }

@@ -24,11 +24,13 @@ window.  ``replay`` applies a given pair sequence, such as a recorded trace
 or a verifier witness, through ``checked_step``.
 
 ``_compiled_loop`` is the one dispatch rule: the compiled loop (``_loop.c``,
-built on first use; see ``_compiled``) runs only when the protocol is
-``RANKING`` or ``NEIGHBOR``, the predicate carries the ``safe_for`` mark that
-``oracles.rank_safe_predicate`` and ``oracles.neighbor_safe_predicate``
-attach, built for this graph and n, n <= 64 with every param inside its C
-field, and the library loaded.  Everything else (custom or wrapped
+built on first use; see ``_compiled``) runs only when the predicate carries
+the ``safe_for`` mark that ``oracles.rank_safe_predicate`` and
+``oracles.neighbor_safe_predicate`` attach, built for this protocol, graph
+and n, and ``_compiled.library_for`` answers that ``_loop.c`` steps the
+record: the protocol is ``RANKING`` or ``NEIGHBOR``, n <= 64 with every
+param inside its C field, and the library loaded.  ``verifier._pair_tables``
+asks ``library_for`` the same question.  Everything else (custom or wrapped
 predicates, proxies, n >= 65, no C compiler) runs the Python loop, which is
 the reference.  On the compiled path the Python predicate confirms what C
 claims: it must reject the configuration where an unconverged run stopped,
@@ -376,10 +378,11 @@ class _PythonLoop:
 def _compiled_loop(protocol, g: Graph, params, c0, safe_predicate):
     """The one dispatch rule: the compiled loop for this run, or None for the Python loop.
 
-    Compiled only when the protocol is ``RANKING`` or ``NEIGHBOR``, the
-    predicate carries the ``safe_for`` mark of that protocol's oracle factory
-    built for this graph and n, n <= 64 with every param inside its C field,
-    and the library loaded.
+    Compiled only when the predicate carries the ``safe_for`` mark of the
+    protocol's oracle factory built for this graph and n, and
+    ``_compiled.library_for`` returns the library: the protocol is
+    ``RANKING`` or ``NEIGHBOR``, n <= 64 with every param inside its C
+    field, and the library loaded.
     """
     safe_for = getattr(safe_predicate, "safe_for", None)
     if safe_for is None:
@@ -387,17 +390,12 @@ def _compiled_loop(protocol, g: Graph, params, c0, safe_predicate):
     from . import _compiled  # not at the top: _compiled imports ranking, which imports engine
 
     name, pred_g, pred_params = safe_for
-    if (
-        protocol is not _compiled.PROTOCOLS.get(name)
-        or pred_params.n != params.n
-        or (pred_g is not None and pred_g != g)
-        or not _compiled.fits(params)
-    ):
+    if name != protocol.name or pred_params.n != params.n or (pred_g is not None and pred_g != g):
         return None
-    advance = _compiled.library()
-    if advance is None:
+    lib = _compiled.library_for(protocol, params)
+    if lib is None:
         return None
-    return _compiled.CompiledLoop(advance, protocol, g, params, c0)
+    return _compiled.CompiledLoop(lib, protocol, g, params, c0)
 
 
 def _confirm(safe_predicate, states, safe: bool, step: int) -> None:

@@ -42,6 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _compiled
 from .engine import Field, Protocol
 from .errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
 from .graph import Graph
@@ -49,6 +50,7 @@ from .neighbor import bits
 from .oracles import check_spec
 
 DEFAULT_BUDGET = 10_000_000
+_PAIR_BLOCK = 4096  # state pairs per compiled step call
 
 
 @dataclass
@@ -70,6 +72,9 @@ class TransitionGraph:
     # (pairs, q*q) int64: entry i*q + j of row e is what directed_pairs[e] = (u, v)
     # adds to a key whose agent u holds digit i and agent v digit j
     deltas: np.ndarray
+    # The two-agent step is a bijection of the q*q state pairs, so every
+    # pair's map is a permutation of the keys.
+    permutes: bool
 
     def decode(self, key: int) -> tuple:
         q = self.agent_state_count
@@ -139,11 +144,40 @@ class TransitionGraph:
 def _pair_tables(protocol, params, q: int):
     """The q states by index, and the two-agent transition on state indices: (q0,q1) -> (q0',q1').
 
-    Step results are looked up among the q states just enumerated, which
-    are the whole per-agent domain, so a result not among them is out of
-    the domain and raises DomainViolation instead of packing a wrong index.
+    When ``_compiled.library_for`` says ``_loop.c`` steps the record, the
+    state pairs go through ``_compiled.step_pairs`` about ``_PAIR_BLOCK``
+    at a time and ``_result_indices`` encodes the results; otherwise
+    ``protocol.step`` runs once per pair, which is the reference.  The
+    blocks keep every array small whatever q: freeing one 2 MB array (all
+    of K3's pairs at tmax=2) raised glibc's mmap threshold, and the search
+    after it then peaked 1.8 MB higher.  Either way the results are looked
+    up among the q states just enumerated, which are the whole per-agent
+    domain, so a result not among them is out of the domain and raises
+    DomainViolation instead of packing a wrong index.
     """
-    states = [protocol.state_from_index(i, params) for i in range(q)]
+    states = tuple(protocol.state_from_index(i, params) for i in range(q))
+    lib = _compiled.library_for(protocol, params)
+    if lib is None:
+        t0, t1 = _stepped_tables(protocol, params, states)
+    else:
+        rows = np.array([protocol.flatten(s) for s in states], dtype=np.uint64)
+        t0 = np.empty((q, q), dtype=np.int64)
+        t1 = np.empty((q, q), dtype=np.int64)
+        block = max(1, _PAIR_BLOCK // q)  # initiator states per call
+        for lo in range(0, q, block):
+            hi = min(q, lo + block)
+            pairs = np.empty((hi - lo, q, 2, rows.shape[1]), dtype=np.uint64)
+            pairs[:, :, 0] = rows[lo:hi, None]  # pair (i, j): state i initiates
+            pairs[:, :, 1] = rows[None, :]  # and state j responds
+            pairs = pairs.reshape(-1, 2, rows.shape[1])
+            _compiled.step_pairs(lib, protocol, params, pairs)
+            t0[lo:hi], t1[lo:hi] = _result_indices(protocol, params, pairs, q)
+    return states, t0, t1
+
+
+def _stepped_tables(protocol, params, states):
+    """The two tables by one ``protocol.step`` call per state pair."""
+    q = len(states)
     index_of = {s: i for i, s in enumerate(states)}
     step = protocol.step
 
@@ -162,7 +196,33 @@ def _pair_tables(protocol, params, q: int):
             r0, r1 = step(s0, s1, params)
             row0[j] = to_index(r0)
             row1[j] = to_index(r1)
-    return tuple(states), t0, t1
+    return t0, t1
+
+
+def _result_indices(protocol, params, pairs: np.ndarray, q: int):
+    """Rows of the two tables from the stepped (k*q, 2, fields) uint64 field rows of k*q pairs.
+
+    Each row's state index is the mixed radix of ``protocol.fields`` over
+    the offsets value - lo, as in ``Protocol.state_to_index``.  An offset
+    is out of range when it is not below the field's size (below lo it
+    wraps past every size); the first such row, in the order the reference
+    loop steps and checks the pairs, raises the reference's
+    DomainViolation.
+    """
+    index = np.zeros(pairs.shape[:2], dtype=np.uint64)
+    inside = np.ones(pairs.shape[:2], dtype=bool)
+    for k, f in enumerate(protocol.fields):
+        size = f.size(params)
+        offset = pairs[:, :, k] - np.uint64(f.lo)
+        inside &= offset < size
+        index *= np.uint64(size)
+        index += offset
+    if not inside.all():
+        pair, side = divmod(int(np.flatnonzero(~inside)[0]), 2)
+        s = protocol.unflatten(pairs[pair, side].tolist())
+        raise DomainViolation(f"step result {s} is not one of the {q} states")
+    index = index.view(np.int64)  # below q, so below 2^63
+    return index[:, 0].reshape(-1, q), index[:, 1].reshape(-1, q)
 
 
 def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUDGET) -> TransitionGraph:
@@ -199,6 +259,7 @@ def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUD
         directed_pairs=g.directed_pairs,
         states=states,
         deltas=deltas,
+        permutes=_distinct((t0 * q + t1).reshape(-1)).size == q * q,
     )
 
 
@@ -251,8 +312,13 @@ def _contracted_image(tg: TransitionGraph, image: np.ndarray) -> np.ndarray:
 
     The pairs are drawn by a generator of this function's own, so the
     schedule is the same on every call.  It stops once ``_STALL_PASSES``
-    passes' worth of steps in a row have not shrunk the image.
+    passes' worth of steps in a row have not shrunk the image.  When every
+    pair's map is a permutation (``tg.permutes``) the image is returned
+    without a step: it is as small as it gets, and still meets every final
+    set.
     """
+    if tg.permutes:  # no step can shrink it
+        return np.sort(image)
     pairs = len(tg.directed_pairs)
     rng = np.random.default_rng(0)
     stalls = 0
@@ -268,9 +334,12 @@ def _forward_closure(tg: TransitionGraph, start: np.ndarray) -> np.ndarray:
 
     A breadth-first search on sorted key arrays: each level maps the
     frontier through one pair at a time and keeps what the region does not
-    hold yet, so no temporary holds more than one pair's image of it.
+    hold yet, so no temporary holds more than one pair's image of it.  A
+    start holding every key is returned as it is.
     """
     region = frontier = np.asarray(start, dtype=np.int64)
+    if region.size == tg.config_count:  # every key: nothing lies outside it
+        return region
     while frontier.size:
         found = []
         for e in range(len(tg.directed_pairs)):
@@ -371,10 +440,13 @@ def _bottom_components(succ: np.ndarray) -> list[np.ndarray]:
     members = np.flatnonzero(~has_out[labels])
     member_labels = labels[members]
     order = np.argsort(member_labels, kind="stable")
-    boundaries = np.flatnonzero(np.diff(member_labels[order])) + 1
-    components = np.split(members[order], boundaries)
-    components.sort(key=lambda c: c[0])
-    return components
+    nodes = members[order]  # grouped by component, each group ascending
+    starts = np.flatnonzero(np.diff(member_labels[order], prepend=-1))
+    ends = np.append(starts[1:], nodes.size)
+    # Slices, not np.split: its cost per piece dominated on whole-space
+    # regions, where every key can be a component of its own.
+    by_first = np.argsort(nodes[starts])
+    return [nodes[a:b] for a, b in zip(starts[by_first].tolist(), ends[by_first].tolist())]
 
 
 def final_sets(tg: TransitionGraph) -> list[frozenset[int]]:
@@ -394,14 +466,19 @@ def _final_sets_within(tg: TransitionGraph, start: np.ndarray) -> list[frozenset
 
     Exact whenever ``start`` meets every final set; ``final_sets`` passes
     the contracted image.  The region is forward-closed, so each pair's
-    image of it lies in it and ``np.searchsorted`` relabels it.
+    image of it lies in it and ``np.searchsorted`` relabels it; a region
+    holding every key is ``arange(config_count)``, its own labels.
     """
     region = _forward_closure(tg, start)
+    whole = region.size == tg.config_count
     local = np.empty((len(tg.directed_pairs), region.size),
                      dtype=np.int32 if region.size < 2**31 else np.int64)
     for e in range(len(tg.directed_pairs)):
-        local[e] = np.searchsorted(region, tg.step_keys(region, e))
-    return [frozenset(region[c].tolist()) for c in _bottom_components(local)]
+        moved = tg.step_keys(region, e)
+        local[e] = moved if whole else np.searchsorted(region, moved)
+    components = _bottom_components(local)
+    del local  # the table, freed before the sets are built
+    return [frozenset(region[c].tolist()) for c in components]
 
 
 class Witness(NamedTuple):

@@ -126,6 +126,25 @@ def test_golden_stdout_digests(capsys, argv, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("graph", ["complete:3", "path:3"])
+def test_verify_stdout_without_the_library(capsys, monkeypatch, graph, compiled):
+    # The pair tables come from compiled calls when the library loads and
+    # from the per-pair Python loop when it does not; stdout cannot tell.
+    from poplab import _compiled
+
+    argv = ("verify", "--protocol", "ranking", "--graph", graph, "--tmax", "2")
+    calls = []
+    step_pairs = _compiled.step_pairs
+    monkeypatch.setattr(_compiled, "step_pairs", lambda *a: calls.append(a) or step_pairs(*a))
+    with_library = run_cli(capsys, *argv)
+    compiled_calls = len(calls)
+    assert compiled_calls > 0
+    monkeypatch.setattr(_compiled, "library", lambda: None)
+    assert run_cli(capsys, *argv) == with_library
+    assert len(calls) == compiled_calls
+    assert with_library[0] == 0 and with_library[2] == ""
+
+
 @pytest.mark.parametrize("graph", ["path:64", "path:65"])
 def test_run_neighbor_beyond_64_agents(capsys, graph):
     # Label masks wider than one int64 word are drawn without overflow.

@@ -285,12 +285,6 @@ def test_recorded_trace_replays_to_final_configuration():
 KINDS = ("cycle", "complete", "path", "star", "random_connected")
 
 
-@pytest.fixture
-def compiled():
-    if _compiled.library() is None:
-        pytest.skip("no C compiler: the compiled loop is not built")
-
-
 def test_compiled_loop_loads_when_a_compiler_exists():
     # Without this a broken _loop.c would fall back silently, and the
     # differential tests below would compare the Python loop with itself.
@@ -403,6 +397,22 @@ def test_compiled_step_matches_neighbor_step_on_random_state_pairs(compiled):
     pairs = [(NEIGHBOR.random_state(rng, params), NEIGHBOR.random_state(rng, params))
              for _ in range(5000)]
     assert_same_step(NEIGHBOR, g, params, pairs)
+
+
+def test_step_pairs_match_neighbor_step_on_random_state_pairs(compiled):
+    # The entry the verifier tabulates with: every pair stepped in one call.
+    g = generate_graph("cycle", 5)
+    params = default_params(g, know_m=True, tmax=2, pmax=3, emax=3)
+    rng = np.random.default_rng(2025)
+    pairs = [(NEIGHBOR.random_state(rng, params), NEIGHBOR.random_state(rng, params))
+             for _ in range(5000)]
+    rows = np.array([[NEIGHBOR.flatten(s0), NEIGHBOR.flatten(s1)] for s0, s1 in pairs],
+                    dtype=np.uint64)
+    _compiled.step_pairs(_compiled.library_for(NEIGHBOR, params), NEIGHBOR, params, rows)
+    got = [tuple(map(NEIGHBOR.unflatten, pair)) for pair in rows.tolist()]
+    assert got == [NEIGHBOR.step(s0, s1, params) for s0, s1 in pairs]
+    with pytest.raises(ValueError, match="contiguous uint64"):
+        _compiled.step_pairs(_compiled.library(), NEIGHBOR, params, rows[:, :, :5].copy())
 
 
 def safe_neighbor_config(g, params):

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import re
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from poplab import _compiled, ranking
 from poplab.engine import Field, Protocol, ProtocolParams, default_params, replay
 from poplab.errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
 from poplab.graph import generate_graph
@@ -15,10 +17,12 @@ from poplab.verifier import (
     FIXED_OUTPUT,
     GREEDY_DEGREE,
     GreedyDegreeState,
+    TransitionGraph,
     Witness,
     _bottom_components,
     _matching_image,
     _pair_tables,
+    _result_indices,
     build_transition_graph,
     _final_sets_within,
     final_sets,
@@ -125,6 +129,77 @@ def test_out_of_domain_step_raises():
     escaping = dataclasses.replace(OSCILLATOR, step=lambda s0, s1, params: (s0 + s1, s1))
     with pytest.raises(DomainViolation):
         build_transition_graph(escaping, g, ProtocolParams(n=2, tmax=1))
+
+
+# --- pair tables through the compiled step -----------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tmax", [1, 2, 3])
+def test_compiled_pair_tables_match_the_python_loop(compiled, n, tmax):
+    # A copy of the record is another record, so it takes the per-pair loop.
+    params = ProtocolParams(n=n, tmax=tmax)
+    q = RANKING.state_count(params)
+    copy = dataclasses.replace(RANKING)
+    assert _compiled.library_for(RANKING, params) is not None
+    assert _compiled.library_for(copy, params) is None
+    states, t0, t1 = _pair_tables(RANKING, params, q)
+    ref_states, ref_t0, ref_t1 = _pair_tables(copy, params, q)
+    assert states == ref_states
+    assert t0.dtype == t1.dtype == np.int64
+    np.testing.assert_array_equal(t0, ref_t0)
+    np.testing.assert_array_equal(t1, ref_t1)
+
+
+def _frozen_labels_step(s0, s1, params):
+    """RANKING's step with the agent labels never moving."""
+    r0, r1 = ranking.step(s0, s1, params)
+    return r0._replace(idA=s0.idA), r1._replace(idA=s1.idA)
+
+
+def test_a_mutated_ranking_record_takes_the_python_tables(compiled):
+    g = generate_graph("complete", 2)
+    params = ProtocolParams(n=2, tmax=1)
+    mutant = dataclasses.replace(RANKING, step=_frozen_labels_step)
+    assert _compiled.library_for(mutant, params) is None
+    q = RANKING.state_count(params)
+    mutant_t0, ranking_t0 = (_pair_tables(p, params, q)[1] for p in (mutant, RANKING))
+    assert not np.array_equal(mutant_t0, ranking_t0)
+    assert verify_self_stabilizing(RANKING, g, params, safe_predicate(RANKING, g, params)) is True
+    verdict = verify_self_stabilizing(mutant, g, params, safe_predicate(RANKING, g, params))
+    assert isinstance(verdict, Witness) and verdict.kind == "unsafe_final"
+    assert verdict.start[0].idA == verdict.start[1].idA
+
+
+def test_result_indices_reject_a_row_outside_the_field_ranges():
+    params = ProtocolParams(n=2, tmax=1)
+    q = RANKING.state_count(params)
+    rows = np.array([RANKING.flatten(RANKING.state_from_index(i, params)) for i in range(q)],
+                    dtype=np.uint64)
+    pairs = np.empty((q, q, 2, rows.shape[1]), dtype=np.uint64)
+    pairs[:, :, 0] = rows[:, None]
+    pairs[:, :, 1] = rows[None, :]
+    pairs = pairs.reshape(q * q, 2, rows.shape[1])
+    t0, t1 = _result_indices(RANKING, params, pairs, q)  # unstepped: each state's own index
+    np.testing.assert_array_equal(t0, np.repeat(np.arange(q)[:, None], q, axis=1))
+    np.testing.assert_array_equal(t1, np.repeat(np.arange(q)[None, :], q, axis=0))
+    pairs[7, 1, 4] = 2  # timerT past tmax in pair 7's responder
+    pairs[9, 0, 0] = 5  # idA past n - 1 in a later pair
+    first = RankState(*rows[7].tolist())._replace(timerT=2)
+    with pytest.raises(DomainViolation, match=rf"^step result {re.escape(repr(first))} "
+                                              rf"is not one of the {q} states$"):
+        _result_indices(RANKING, params, pairs, q)
+
+
+@pytest.mark.parametrize("protocol", [GREEDY_DEGREE, FIXED_OUTPUT], ids=lambda p: p.name)
+def test_other_protocols_never_load_the_library(monkeypatch, protocol):
+    def no_library():
+        raise AssertionError("library loaded for a protocol _loop.c does not step")
+
+    monkeypatch.setattr(_compiled, "library", no_library)
+    g, params = generate_graph("path", 3), ProtocolParams(n=3, tmax=1)
+    # Every final set of both keeps its outputs, so only the predicate could fail it.
+    assert verify_self_stabilizing(protocol, g, params, lambda states: True) is True
 
 
 def test_neighbor_state_space_exceeds_budget():
@@ -388,6 +463,34 @@ def test_final_sets_match_the_whole_space(protocol, kind, n, tmax):
         assert sum(map(len, got)) == tg.config_count
     every_key = np.arange(tg.config_count, dtype=tg.successors.dtype)
     assert _final_sets_within(tg, every_key) == got
+
+
+@pytest.mark.parametrize("protocol, kind", [
+    (FIXED_OUTPUT, "complete"), (SWAP, "complete"), (SWAP, "path"), (OSCILLATOR, "star"),
+], ids=lambda x: getattr(x, "name", x))
+def test_permutation_protocols_step_each_pair_once(monkeypatch, protocol, kind):
+    # The start set is every key, which no permutation can contract and
+    # which is its own closure, so the one pass left relabels the region.
+    g = generate_graph(kind, 4)
+    tg = build_transition_graph(protocol, g, ProtocolParams(n=4, tmax=1))
+    assert tg.permutes
+    calls = []
+    step_keys = TransitionGraph.step_keys
+
+    def counted(self, keys, pair_index):
+        calls.append(pair_index)
+        return step_keys(self, keys, pair_index)
+
+    monkeypatch.setattr(TransitionGraph, "step_keys", counted)
+    got = final_sets(tg)
+    assert sorted(calls) == list(range(len(tg.directed_pairs)))
+    assert sum(map(len, got)) == tg.config_count
+
+
+@pytest.mark.parametrize("protocol", [RANKING, GREEDY_DEGREE], ids=lambda p: p.name)
+def test_contracting_protocols_do_not_permute(protocol):
+    tg = build_transition_graph(protocol, generate_graph("complete", 2), ProtocolParams(n=2, tmax=1))
+    assert not tg.permutes
 
 
 # Every pair sends both agents to state 0, so {0} is the one final set.
