@@ -11,8 +11,8 @@ witnesses that a degree-claiming protocol cannot be self-stabilizing.
 The bottom SCCs are searched in a small forward-closed region R instead of
 the whole space (the grand coupling of Propp and Wilson's exact sampling).
 R is the forward closure of the image of every key under a composition of
-pairs' maps: those of a maximal matching, then one pair at a time.  Three
-facts make this exact:
+pairs' maps: each pair of a maximal matching alternating with its reverse,
+then one pair at a time.  Three facts make this exact:
 
 - every bottom SCC is closed under each pair's map, so any composition of
   the maps sends it into itself, and the image of every key meets it;
@@ -22,10 +22,12 @@ facts make this exact:
   path between two of its keys never leaves it, and no edge leaves it.
 
 So the result does not depend on the schedule of the maps, which only sets
-how small R is.  The matched pairs act on disjoint agents, so the image of
-every key under them is a product of per-pair images, built without
-visiting every key.  Nothing in the search is as large as the configuration
-space unless R is.
+how small R is.  A matched pair and its reverse act on their two agents
+only, and the matched pairs on disjoint agents, so the image of every key
+under their maps is a product: each matched pair's image of its agents'
+digits, contracted on those two agents alone, times every digit of each
+unmatched agent.  It is built without visiting every key, and nothing in
+the search is as large as the configuration space unless R is.
 
 Configurations are packed into integers by mixed radix: agent 0 is the least
 significant digit, each digit being the protocol's per-agent state index.
@@ -38,6 +40,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import cycle, repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -263,9 +266,9 @@ def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUD
     )
 
 
-# A pass is one step per directed pair.  Past the first steps the image
-# is small, so steps cost little; a protocol whose maps are permutations
-# never shrinks it, and pays for this many passes over every key.
+# A pass is one step per pair the schedule draws from: every directed pair,
+# or a matched pair and its reverse.  Past the first steps the image is
+# small, so steps cost little.
 _STALL_PASSES = 2
 
 
@@ -282,13 +285,32 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _matching_image(tg: TransitionGraph) -> np.ndarray:
-    """The image of every key under the pairs of a greedy maximal matching, as distinct keys.
+def _contracted(tg: TransitionGraph, keys: np.ndarray, schedule, pairs: int) -> np.ndarray:
+    """``keys`` mapped through the pairs ``schedule`` names, one at a time, as distinct keys.
 
-    The matched pairs act on disjoint agents, so the image under their
-    composition is the product of each pair's table image on its two
-    agents with every digit of each unmatched agent.  The keys are not
-    sorted.
+    Stops once ``_STALL_PASSES`` passes of ``pairs`` steps in a row have
+    not shrunk the keys.
+    """
+    stalls = 0
+    for e in schedule:
+        if stalls >= _STALL_PASSES * pairs:
+            break
+        nxt = _distinct(tg.step_keys(keys, e))
+        stalls = stalls + 1 if nxt.size == keys.size else 0
+        keys = nxt
+    return keys
+
+
+def _matching_image(tg: TransitionGraph) -> np.ndarray:
+    """The image of every key under a word per pair of a greedy maximal matching, as distinct keys.
+
+    Matched pair (u, v)'s word is (u, v), then (v, u) and (u, v) in turn
+    until the image of its two agents' digits stops shrinking
+    (``_contracted``).  The words act on disjoint agents, so the image of
+    every key under their composition is the product of each word's image
+    on its two agents with every digit of each unmatched agent.  When every
+    pair's map is a permutation the word is (u, v) alone, as no step can
+    shrink the image.  The keys are not sorted.
     """
     q = tg.agent_state_count
     digits = np.arange(q, dtype=np.int64)
@@ -300,7 +322,10 @@ def _matching_image(tg: TransitionGraph) -> np.ndarray:
         matched |= {u, v}
         # Every pair of digits of u and v, all other digits 0, moved by the pair.
         cells = (digits[:, None] * q**u + digits[None, :] * q**v).reshape(-1)
-        keys = np.add.outer(keys, _distinct(cells + tg.deltas[e])).reshape(-1)
+        factor = _distinct(cells + tg.deltas[e])
+        if not tg.permutes:
+            factor = _contracted(tg, factor, cycle((tg.directed_pairs.index((v, u)), e)), 2)
+        keys = np.add.outer(keys, factor).reshape(-1)
     for a in range(tg.graph.n):
         if a not in matched:
             keys = np.add.outer(keys, digits * q**a).reshape(-1)
@@ -311,22 +336,15 @@ def _contracted_image(tg: TransitionGraph, image: np.ndarray) -> np.ndarray:
     """``image`` mapped through one directed pair at a time until it stops shrinking, ascending.
 
     The pairs are drawn by a generator of this function's own, so the
-    schedule is the same on every call.  It stops once ``_STALL_PASSES``
-    passes' worth of steps in a row have not shrunk the image.  When every
-    pair's map is a permutation (``tg.permutes``) the image is returned
-    without a step: it is as small as it gets, and still meets every final
-    set.
+    schedule is the same on every call.  When every pair's map is a
+    permutation (``tg.permutes``) the image is returned without a step: it
+    is as small as it gets, and still meets every final set.
     """
     if tg.permutes:  # no step can shrink it
         return np.sort(image)
     pairs = len(tg.directed_pairs)
     rng = np.random.default_rng(0)
-    stalls = 0
-    while stalls < _STALL_PASSES * pairs:
-        nxt = _distinct(tg.step_keys(image, rng.integers(pairs)))
-        stalls = stalls + 1 if nxt.size == image.size else 0
-        image = nxt
-    return image
+    return _contracted(tg, image, (rng.integers(pairs) for _ in repeat(None)), pairs)
 
 
 def _forward_closure(tg: TransitionGraph, start: np.ndarray) -> np.ndarray:
@@ -455,8 +473,9 @@ def final_sets(tg: TransitionGraph) -> list[frozenset[int]]:
     Returned sets are pairwise disjoint, each closed under every directed
     pair (exactly the configurations some schedule can trap the system in),
     and ordered by their smallest key.  The search runs in the forward
-    closure of ``_contracted_image(tg, _matching_image(tg))``; the module
-    docstring says why that is exact.
+    closure of ``_contracted_image(tg, _matching_image(tg))``: the product
+    of the matched pairs' contracted factors, contracted once more by one
+    pair at a time.  The module docstring says why that is exact.
     """
     return _final_sets_within(tg, _contracted_image(tg, _matching_image(tg)))
 

@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from poplab import _compiled, ranking
+from poplab import _compiled, ranking, verifier
 from poplab.engine import Field, Protocol, ProtocolParams, default_params, replay
 from poplab.errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
 from poplab.graph import generate_graph
@@ -134,8 +134,8 @@ def test_out_of_domain_step_raises():
 # --- pair tables through the compiled step -----------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("tmax", [1, 2, 3])
+# n = 4 at tmax=1 has q = 192, so 36,864 reference steps.
+@pytest.mark.parametrize("tmax, n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (1, 4)])
 def test_compiled_pair_tables_match_the_python_loop(compiled, n, tmax):
     # A copy of the record is another record, so it takes the per-pair loop.
     params = ProtocolParams(n=n, tmax=tmax)
@@ -319,6 +319,24 @@ def test_ranking_self_stabilizing_n3_full_enumeration(kind, tmax):
     assert verify_self_stabilizing(RANKING, g, params, safe_predicate(RANKING, g, params)) is True
 
 
+@pytest.mark.parametrize("kind", ["complete", "cycle"])
+def test_ranking_self_stabilizing_n4(monkeypatch, kind):
+    # 192^4 ≈ 1.4e9 configurations, above the default budget.
+    g = generate_graph(kind, 4)
+    params = ProtocolParams(n=4, tmax=1)
+    found = []
+
+    def recorded(tg):
+        found.extend(final_sets(tg))
+        return found
+
+    monkeypatch.setattr(verifier, "final_sets", recorded)
+    predicate = safe_predicate(RANKING, g, params)
+    assert verify_self_stabilizing(RANKING, g, params, predicate, budget=2 * 10**9) is True
+    assert len(found) == 24
+    assert sum(map(len, found)) == 9216
+
+
 def test_ranking_self_stabilizing_k2_tmax2():
     g = generate_graph("complete", 2)
     params = ProtocolParams(n=2, tmax=2)
@@ -383,6 +401,28 @@ SWAP = Protocol(
     flatten=lambda s: (s,),
     unflatten=lambda values: values[0],
     step=lambda s0, s1, params: (s1, s0),
+    output=lambda s: s,
+)
+
+
+# States 0 and 1 never change; 2, 3 and 4 cycle.  The initiator and the
+# responder of a pair act differently, so (u, v) and (v, u) have different
+# maps, and neither is a permutation.  A cycling agent whose neighbors all
+# hold 1 is stuck, so the final sets depend on the graph.
+def _capture_step(s0, s1, params):
+    if s0 >= 2 and s1 >= 2:  # both cycle: the initiator advances, 2 -> 3 -> 4 -> 2
+        return s0 % 3 + 2, s1
+    if s0 == 0 and s1 >= 2:  # 0 pushes a cycling responder on, and catches it at 4
+        return s0, 0 if s1 == 4 else s1 + 1
+    return s0, s1
+
+
+CAPTURE = Protocol(
+    name="capture",
+    fields=(Field("value", 0, lambda params: 5),),
+    flatten=lambda s: (s,),
+    unflatten=lambda values: values[0],
+    step=_capture_step,
     output=lambda s: s,
 )
 
@@ -453,6 +493,12 @@ def test_bottom_components_match_scipy(seed):
     (OSCILLATOR, "complete", 3, 1),
     (SWAP, "path", 3, 1),
     (SWAP, "complete", 3, 1),
+    # Two matched pairs, each with its own contracted factor; the star's
+    # greedy matching leaves two agents unmatched.
+    (CAPTURE, "complete", 4, 1),
+    (CAPTURE, "cycle", 4, 1),
+    (CAPTURE, "path", 4, 1),
+    (CAPTURE, "star", 4, 1),
 ], ids=lambda x: getattr(x, "name", x))
 def test_final_sets_match_the_whole_space(protocol, kind, n, tmax):
     g = generate_graph(kind, n)
@@ -463,6 +509,37 @@ def test_final_sets_match_the_whole_space(protocol, kind, n, tmax):
         assert sum(map(len, got)) == tg.config_count
     every_key = np.arange(tg.config_count, dtype=tg.successors.dtype)
     assert _final_sets_within(tg, every_key) == got
+
+
+@pytest.mark.parametrize("kind", ["complete", "path"])
+def test_matching_image_is_the_contracted_factor_times_the_unmatched_digits(monkeypatch, kind):
+    # Pair (0, 1) is matched and agent 2 is not.  The start set is the
+    # contracted factor of agents 0 and 1 times agent 2's q digits; without
+    # the factor's contraction it would be pair (0, 1)'s 4,704-key table
+    # image times them, 762,048 keys.
+    g = generate_graph(kind, 3)
+    tg = build_transition_graph(RANKING, g, ProtocolParams(n=3, tmax=2))
+    q = tg.agent_state_count
+    assert tg.directed_pairs[0] == (0, 1)
+    start = _matching_image(tg)
+    digit, low = np.divmod(start, q * q)
+    factor = np.unique(low)
+    assert factor.size == 552
+    assert np.unique(start).size == start.size == factor.size * q == 89_424
+    assert sorted(set(digit.tolist())) == list(range(q))
+    for pair in [(0, 1), (1, 0)]:  # contracted: neither of its pairs shrinks it
+        assert np.unique(tg.step_keys(factor, tg.directed_pairs.index(pair))).size == factor.size
+
+    sizes = []
+    step_keys = TransitionGraph.step_keys
+
+    def measured(self, keys, pair_index):
+        sizes.append(np.size(keys))
+        return step_keys(self, keys, pair_index)
+
+    monkeypatch.setattr(TransitionGraph, "step_keys", measured)
+    final_sets(tg)
+    assert max(sizes) <= start.size
 
 
 @pytest.mark.parametrize("protocol, kind", [
