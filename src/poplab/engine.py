@@ -103,7 +103,12 @@ class Protocol:
     interaction (s0 initiates, s1 responds) without domain checks; wrap it
     in ``checked_step`` for untrusted states.  ``output(s)`` is the agent's
     claim.  ``needs_m`` declares that the protocol needs exact knowledge of
-    the pair count m.
+    the pair count m.  ``symmetries`` names state maps ``(s, params) -> s``
+    that the step should commute with: applied to both agents before a step
+    or to both results after it, each gives the same pair.  The verifier
+    checks that on every state pair and uses the group they generate to
+    search fewer start configurations; a map that fails the check, or is
+    not a permutation of the states, makes it search them all, with no error.
 
     The state functions are derived from the table.  ``to_json(s)`` maps
     each field's name, in table order, to its ``render`` of the value.
@@ -133,6 +138,7 @@ class Protocol:
     step: Callable[[Any, Any, Any], tuple]
     output: Callable[[Any], Any]
     needs_m: bool = False
+    symmetries: tuple[Callable[[Any, Any], Any], ...] = ()
 
     _latest = (object(), ())  # (params, sizes) of the latest call; not a field, set per record
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -152,6 +153,88 @@ def metrics(g: Graph) -> GraphMetrics:
             raise NotConnected(f"agents {missing} unreachable from agent 0")
         dist[source] = row
     return GraphMetrics(distances=dist, diameter=int(dist.max()))
+
+
+def maximum_matching(g: Graph) -> list[tuple[int, int]]:
+    """A maximum matching of ``g``'s edges, each as (u, v) with u < v, in ``g.edges`` order.
+
+    It starts from the greedy matching in ``directed_pairs`` order and
+    augments it from each agent left free, in turn, while an augmenting path
+    exists.  By Berge's theorem the result is then maximum.
+    """
+    mate = [-1] * g.n
+    for u, v in g.directed_pairs:
+        if mate[u] < 0 and mate[v] < 0:
+            mate[u], mate[v] = v, u
+    for root in range(g.n):
+        if mate[root] < 0:
+            _augment(g.adjacency, mate, root)
+    return [(u, v) for u, v in g.edges if mate[u] == v]
+
+
+def _augment(adjacency, mate: list[int], root: int) -> None:
+    """Flip ``mate`` along the first augmenting path found from the free agent ``root``, if any.
+
+    Edmonds' search ("Paths, trees, and flowers", 1965): a breadth-first
+    tree of alternating paths from the root, in which an odd cycle of outer
+    agents (a blossom) is shrunk into its base, recorded in ``base``.
+    ``parent[w]`` is the outer agent that reached the inner agent w.
+    """
+    n = len(adjacency)
+    parent = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    outer[root] = True
+    queue = deque([root])
+
+    def common_base(a: int, b: int) -> int:
+        # The nearest base on both tree paths to the root.
+        on_path = [False] * n
+        while True:
+            a = base[a]
+            on_path[a] = True
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while not on_path[base[b]]:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, b: int, child: int, blossom: list[bool]) -> None:
+        # Flag the bases from v down to b, and let the cycle be walked both ways.
+        while base[v] != b:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    while queue:
+        v = queue.popleft()
+        for w in adjacency[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):  # w is outer: a blossom
+                b = common_base(v, w)
+                blossom = [False] * n
+                mark(v, b, w, blossom)
+                mark(w, b, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = b
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:  # w is free: flip the path back to the root
+                    while w >= 0:
+                        v = parent[w]
+                        after = mate[v]
+                        mate[w], mate[v] = v, w
+                        w = after
+                    return
+                outer[mate[w]] = True
+                queue.append(mate[w])
 
 
 def generate_graph(kind: str, n: int, m: int | None = None, seed: int = 0) -> Graph:

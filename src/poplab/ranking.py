@@ -21,8 +21,11 @@ tiny ``tmax``, just slower, which the model checker exploits.
 The module's field table ``FIELDS`` and functions make up ``RANKING``, the
 protocol's one ``engine.Protocol`` record, which derives its state
 functions, JSON included, from the table; ``step`` is unchecked (validate
-states with ``engine.checked_step``).  ``_host`` is the Python twin of
-``_loop.c``'s ``host``: ``step`` swaps the tokens and applies it to each agent.
+states with ``engine.checked_step``).  The record declares two symmetries
+of the step, ``rotate_labels`` and ``swap_colors``; together they generate
+a group of order 2n, which the verifier uses to search fewer starts.
+``_host`` is the Python twin of ``_loop.c``'s ``host``: ``step`` swaps the
+tokens and applies it to each agent.
 """
 
 from __future__ import annotations
@@ -93,6 +96,20 @@ def output(s: RankState) -> int:
     return s.idA
 
 
+def rotate_labels(s: RankState, params) -> RankState:
+    """Every label one on, mod n: the step never compares a label with a constant."""
+    n = params.n
+    return RankState((s.idA + 1) % n, (s.idT + 1) % n, s.colorA, s.colorT, s.timerT)
+
+
+_SWAPPED = {WHITE: WHITE, RED: BLUE, BLUE: RED}
+
+
+def swap_colors(s: RankState, params) -> RankState:
+    """RED and BLUE exchanged, WHITE kept: the step never prefers one of the two."""
+    return RankState(s.idA, s.idT, _SWAPPED[s.colorA], _SWAPPED[s.colorT], s.timerT)
+
+
 def leader_output(s: RankState) -> str:
     """Leader-election view of a ranking: label 0 leads, everyone else follows."""
     return "L" if s.idA == 0 else "F"
@@ -119,4 +136,5 @@ RANKING = Protocol(
     unflatten=unflatten,
     step=step,
     output=output,
+    symmetries=(rotate_labels, swap_colors),
 )

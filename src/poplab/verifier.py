@@ -10,12 +10,13 @@ witnesses that a degree-claiming protocol cannot be self-stabilizing.
 
 The bottom SCCs are searched in a small forward-closed region R instead of
 the whole space (the grand coupling of Propp and Wilson's exact sampling).
-R is the forward closure of the image of every key under a composition of
-pairs' maps: each pair of a maximal matching alternating with its reverse,
-then one pair at a time.  Three facts make this exact:
+R is the forward closure of the image of a start set S under a composition
+W of pairs' maps: each pair of a maximum matching alternating with its
+reverse, then one pair at a time.  When S is every key, three facts make
+this exact:
 
-- every bottom SCC is closed under each pair's map, so any composition of
-  the maps sends it into itself, and the image of every key meets it;
+- every bottom SCC is closed under each pair's map, so W sends it into
+  itself, and the image of every key meets it;
 - R is forward-closed, so it contains every bottom SCC it meets, that is,
   all of them;
 - a forward-closed region has the same bottom SCCs as the whole graph: a
@@ -28,6 +29,18 @@ under their maps is a product: each matched pair's image of its agents'
 digits, contracted on those two agents alone, times every digit of each
 unmatched agent.  It is built without visiting every key, and nothing in
 the search is as large as the configuration space unless R is.
+
+A protocol may declare symmetries: state maps that commute with the step
+(``engine.Protocol``).  The group G they generate acts on a key by mapping
+every agent's digit, so each g in G commutes with every pair's map, and
+g sends a bottom SCC F to a bottom SCC g.F.  S then holds only the keys
+whose restricted agent (one agent, fixed per graph) holds the smallest
+state of its orbit.  For any F and any c in F, some g gives g.c that
+state, so g.c lies in S, and W(g.c) = g.W(c) lies in g.F: R holds a
+bottom SCC of every orbit, and the images of R's bottom SCCs under G are
+all of them.  A map that does not commute with the step, checked on every
+pair of states when the graph is built, leaves S every key, and so does a
+protocol whose pairs' maps are all permutations, as nothing contracts its S.
 
 Configurations are packed into integers by mixed radix: agent 0 is the least
 significant digit, each digit being the protocol's per-agent state index.
@@ -48,7 +61,7 @@ import numpy as np
 from . import _compiled
 from .engine import Field, Protocol
 from .errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
-from .graph import Graph
+from .graph import Graph, maximum_matching
 from .neighbor import bits
 from .oracles import check_spec
 
@@ -78,6 +91,15 @@ class TransitionGraph:
     # The two-agent step is a bijection of the q*q state pairs, so every
     # pair's map is a permutation of the keys.
     permutes: bool
+    # (order, q) int64: row k is the k-th element of the group that the
+    # protocol's symmetries generate, as a permutation of the state indices;
+    # row 0 is the identity, the only row when the symmetries go unused.
+    group: np.ndarray
+
+    @cached_property
+    def representatives(self) -> np.ndarray:
+        """The state indices that are the smallest of their orbit under ``group``, ascending."""
+        return np.flatnonzero(self.group.min(axis=0) == np.arange(self.agent_state_count))
 
     def decode(self, key: int) -> tuple:
         q = self.agent_state_count
@@ -253,6 +275,8 @@ def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUD
         ((t0 - digits[:, None]) * q**u + (t1 - digits[None, :]) * q**v).reshape(-1)
         for u, v in g.directed_pairs
     ])
+    cells = (t0 * q + t1).reshape(-1)
+    permutes = _distinct(cells).size == q * q
     return TransitionGraph(
         protocol=protocol,
         graph=g,
@@ -262,8 +286,46 @@ def build_transition_graph(protocol, g: Graph, params, budget: int = DEFAULT_BUD
         directed_pairs=g.directed_pairs,
         states=states,
         deltas=deltas,
-        permutes=_distinct((t0 * q + t1).reshape(-1)).size == q * q,
+        permutes=permutes,
+        # A permutation protocol's search starts from every key, which needs no group.
+        group=digits[None] if permutes else _symmetry_group(protocol, params, states, cells),
     )
+
+
+def _symmetry_group(protocol, params, states, cells: np.ndarray) -> np.ndarray:
+    """The group ``protocol.symmetries`` generate, as rows of state-index permutations, identity first.
+
+    ``cells`` is the two-agent step on the q*q state pairs: pair i*q + j
+    goes to t0[i, j]*q + t1[i, j].  Each declared map becomes a map sigma of
+    the q state indices, which must be a permutation and commute with the
+    step on every state pair: t0[sigma[i], sigma[j]] == sigma[t0[i, j]], and
+    the same for t1.  When a map gives a value that is not one of the q
+    states, or fails either check, the identity alone is returned and the
+    search starts from every state.
+    """
+    q = len(states)
+    identity = np.arange(q, dtype=np.int64)
+    index_of = {s: i for i, s in enumerate(states)}
+    generators = []
+    for symmetry in protocol.symmetries:
+        sigma = np.array([index_of.get(symmetry(s, params), -1) for s in states], dtype=np.int64)
+        on_pairs = (sigma[:, None] * q + sigma).reshape(-1)  # sigma applied to both agents
+        if not (np.array_equal(np.sort(sigma), identity)
+                and np.array_equal(cells[on_pairs], on_pairs[cells])):
+            return identity[None]
+        generators.append(sigma)
+    # Close under composition: every product of generators, each once.
+    elements = {identity.tobytes(): identity}
+    frontier = [identity]
+    while frontier:
+        found = []
+        for element in frontier:
+            for sigma in generators:
+                product = sigma[element]
+                if elements.setdefault(product.tobytes(), product) is product:
+                    found.append(product)
+        frontier = found
+    return np.stack(list(elements.values()))
 
 
 # A pass is one step per pair the schedule draws from: every directed pair,
@@ -302,33 +364,36 @@ def _contracted(tg: TransitionGraph, keys: np.ndarray, schedule, pairs: int) -> 
 
 
 def _matching_image(tg: TransitionGraph) -> np.ndarray:
-    """The image of every key under a word per pair of a greedy maximal matching, as distinct keys.
+    """The start keys' image under a word per pair of a maximum matching, as distinct keys.
 
-    Matched pair (u, v)'s word is (u, v), then (v, u) and (u, v) in turn
-    until the image of its two agents' digits stops shrinking
-    (``_contracted``).  The words act on disjoint agents, so the image of
-    every key under their composition is the product of each word's image
-    on its two agents with every digit of each unmatched agent.  When every
-    pair's map is a permutation the word is (u, v) alone, as no step can
-    shrink the image.  The keys are not sorted.
+    The start keys are every key whose restricted agent holds one of
+    ``tg.representatives``: the first unmatched agent, or else the first
+    matched pair's initiator.  Matched pair (u, v)'s word is (u, v), then
+    (v, u) and (u, v) in turn until the image of its two agents' start
+    digits stops shrinking (``_contracted``).  The words act on disjoint
+    agents, so the image is the product of each word's image on its two
+    agents with the start digits of each unmatched agent.  When every pair's map is a
+    permutation the word is (u, v) alone, as no step can shrink the image.
+    The keys are not sorted.
     """
     q = tg.agent_state_count
     digits = np.arange(q, dtype=np.int64)
+    representatives = tg.representatives
+    matching = maximum_matching(tg.graph)
+    matched = {a for pair in matching for a in pair}
+    unmatched = [a for a in range(tg.graph.n) if a not in matched]
     keys = np.zeros(1, dtype=np.int64)
-    matched = set()
-    for e, (u, v) in enumerate(tg.directed_pairs):
-        if u in matched or v in matched:
-            continue
-        matched |= {u, v}
-        # Every pair of digits of u and v, all other digits 0, moved by the pair.
-        cells = (digits[:, None] * q**u + digits[None, :] * q**v).reshape(-1)
-        factor = _distinct(cells + tg.deltas[e])
+    for k, (u, v) in enumerate(matching):
+        e = tg.directed_pairs.index((u, v))
+        rows = representatives if k == 0 and not unmatched else digits
+        # Every pair of digits of u (of ``rows``) and v, all other digits 0, moved by the pair.
+        cells = rows[:, None] * q**u + digits[None, :] * q**v
+        factor = _distinct((cells + tg.deltas[e].reshape(q, q)[rows]).reshape(-1))
         if not tg.permutes:
             factor = _contracted(tg, factor, cycle((tg.directed_pairs.index((v, u)), e)), 2)
         keys = np.add.outer(keys, factor).reshape(-1)
-    for a in range(tg.graph.n):
-        if a not in matched:
-            keys = np.add.outer(keys, digits * q**a).reshape(-1)
+    for a in unmatched:
+        keys = np.add.outer(keys, (representatives if a == unmatched[0] else digits) * q**a).reshape(-1)
     return keys
 
 
@@ -474,8 +539,10 @@ def final_sets(tg: TransitionGraph) -> list[frozenset[int]]:
     pair (exactly the configurations some schedule can trap the system in),
     and ordered by their smallest key.  The search runs in the forward
     closure of ``_contracted_image(tg, _matching_image(tg))``: the product
-    of the matched pairs' contracted factors, contracted once more by one
-    pair at a time.  The module docstring says why that is exact.
+    of the matched pairs' contracted factors, one agent restricted to the
+    orbit representatives, contracted once more by one pair at a time.  The
+    sets found there and their images under ``tg.group`` are every final
+    set.  The module docstring says why that is exact.
     """
     return _final_sets_within(tg, _contracted_image(tg, _matching_image(tg)))
 
@@ -483,10 +550,12 @@ def final_sets(tg: TransitionGraph) -> list[frozenset[int]]:
 def _final_sets_within(tg: TransitionGraph, start: np.ndarray) -> list[frozenset[int]]:
     """``final_sets`` searched in the forward closure of the ascending keys ``start``.
 
-    Exact whenever ``start`` meets every final set; ``final_sets`` passes
-    the contracted image.  The region is forward-closed, so each pair's
-    image of it lies in it and ``np.searchsorted`` relabels it; a region
-    holding every key is ``arange(config_count)``, its own labels.
+    The bottom SCCs found there come with their images under ``tg.group``.
+    Exact whenever ``start`` meets some image under ``tg.group`` of every
+    final set; ``final_sets`` passes the contracted image.  The region is
+    forward-closed, so each pair's image of it lies in it and
+    ``np.searchsorted`` relabels it; a region holding every key is
+    ``arange(config_count)``, its own labels.
     """
     region = _forward_closure(tg, start)
     whole = region.size == tg.config_count
@@ -495,9 +564,30 @@ def _final_sets_within(tg: TransitionGraph, start: np.ndarray) -> list[frozenset
     for e in range(len(tg.directed_pairs)):
         moved = tg.step_keys(region, e)
         local[e] = moved if whole else np.searchsorted(region, moved)
-    components = _bottom_components(local)
+    components = [region[c] for c in _bottom_components(local)]
     del local  # the table, freed before the sets are built
-    return [frozenset(region[c].tolist()) for c in components]
+    if len(tg.group) > 1:  # with the identity alone, each set is its only image
+        components = _group_images(tg, components)
+    return [frozenset(c.tolist()) for c in components]
+
+
+def _group_images(tg: TransitionGraph, components: list[np.ndarray]) -> list[np.ndarray]:
+    """Every image of the ascending key arrays ``components`` under ``tg.group``.
+
+    The images are ascending arrays, ordered by smallest key.  Each group element maps digit d of every agent to sigma[d].  It commutes
+    with every pair's map, so the images of final sets are final sets: two
+    are equal or disjoint, and the smallest key names one.
+    """
+    q = tg.agent_state_count
+    by_min = {}
+    for keys in components:
+        if int(keys[0]) in by_min:  # an image of a set already mapped
+            continue
+        digits = [keys // q**a % q for a in range(tg.graph.n)]
+        for sigma in tg.group:
+            image = np.sort(sum(sigma[d] * q**a for a, d in enumerate(digits)))
+            by_min[int(image[0])] = image
+    return [by_min[k] for k in sorted(by_min)]
 
 
 class Witness(NamedTuple):

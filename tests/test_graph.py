@@ -11,6 +11,7 @@ from poplab.graph import (
     dump_edge_list,
     generate_graph,
     load_edge_list,
+    maximum_matching,
     metrics,
     parse_edge_list,
     save_edge_list,
@@ -173,6 +174,26 @@ def test_k3_metrics():
     g = generate_graph("complete", 3)
     assert g.diameter == 1
     assert all(g.metrics.distance(u, v) == 1 for u in range(3) for v in range(3) if u != v)
+
+
+def test_maximum_matching_matches_networkx():
+    # K3 and P3 keep the greedy pair (0, 1); the paw's greedy matching {0-1}
+    # grows along 2-1-0-3 to the perfect {0-3, 1-2}; the star has no second edge.
+    assert maximum_matching(generate_graph("complete", 3)) == [(0, 1)]
+    assert maximum_matching(generate_graph("path", 3)) == [(0, 1)]
+    assert maximum_matching(build_graph([(0, 1), (0, 2), (1, 2), (0, 3)], 4)) == [(0, 3), (1, 2)]
+    assert maximum_matching(generate_graph("star", 4)) == [(0, 1)]
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        m = rng.randint(n - 1, n * (n - 1) // 2)
+        g = generate_graph("random_connected", n, m, seed=rng.getrandbits(32))
+        matching = maximum_matching(g)
+        agents = [a for pair in matching for a in pair]
+        assert len(set(agents)) == len(agents)
+        assert matching == sorted(matching) and set(matching) <= set(g.edges)
+        expected = nx.max_weight_matching(nx.Graph(list(g.edges)), maxcardinality=True)
+        assert len(matching) == len(expected), g.edges
 
 
 def test_edge_list_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -9,10 +10,10 @@ import pytest
 from poplab import _compiled, ranking, verifier
 from poplab.engine import Field, Protocol, ProtocolParams, default_params, replay
 from poplab.errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
-from poplab.graph import generate_graph
+from poplab.graph import generate_graph, load_edge_list
 from poplab.neighbor import NEIGHBOR
 from poplab.oracles import SafeLevel, check_spec, classify_rank_config, safe_predicate
-from poplab.ranking import RANKING, RED, RankState
+from poplab.ranking import RANKING, RED, WHITE, RankState
 from poplab.verifier import (
     FIXED_OUTPUT,
     GREEDY_DEGREE,
@@ -134,8 +135,8 @@ def test_out_of_domain_step_raises():
 # --- pair tables through the compiled step -----------------------------------
 
 
-# n = 4 at tmax=1 has q = 192, so 36,864 reference steps.
-@pytest.mark.parametrize("tmax, n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (1, 4)])
+# n = 4 has q = 192 at tmax=1 and q = 288 at tmax=2, so 36,864 and 82,944 reference steps.
+@pytest.mark.parametrize("tmax, n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (1, 4), (2, 4)])
 def test_compiled_pair_tables_match_the_python_loop(compiled, n, tmax):
     # A copy of the record is another record, so it takes the per-pair loop.
     params = ProtocolParams(n=n, tmax=tmax)
@@ -319,11 +320,31 @@ def test_ranking_self_stabilizing_n3_full_enumeration(kind, tmax):
     assert verify_self_stabilizing(RANKING, g, params, safe_predicate(RANKING, g, params)) is True
 
 
-@pytest.mark.parametrize("kind", ["complete", "cycle"])
-def test_ranking_self_stabilizing_n4(monkeypatch, kind):
-    # 192^4 ≈ 1.4e9 configurations, above the default budget.
-    g = generate_graph(kind, 4)
-    params = ProtocolParams(n=4, tmax=1)
+GRAPHS = Path(__file__).resolve().parent / "graphs"
+
+
+def _graph4(kind):
+    """A 4-agent graph: a generator kind, or the paw or the diamond from their edge lists."""
+    if kind in ("paw", "diamond"):
+        return load_edge_list(GRAPHS / f"{kind}.txt")
+    return generate_graph(kind, 4)
+
+
+# Every connected 4-agent graph.  With the right n every final set ranks,
+# one per ranking and color pattern: 4! = 24 sets.
+@pytest.mark.parametrize("kind, tmax, final_configurations", [
+    pytest.param(kind, 1, 9216, id=kind)
+    for kind in ("complete", "cycle", "path", "star", "paw", "diamond")
+] + [
+    pytest.param("complete", 2, 84_096, id="complete-tmax2"),
+    pytest.param("path", 2, 21_504, id="path-tmax2"),
+])
+def test_ranking_self_stabilizing_n4(monkeypatch, kind, tmax, final_configurations):
+    # 192^4 ≈ 1.4e9 configurations at tmax=1 and 288^4 ≈ 6.9e9 at tmax=2,
+    # above the default budget.
+    g = _graph4(kind)
+    assert g.n == 4
+    params = ProtocolParams(n=4, tmax=tmax)
     found = []
 
     def recorded(tg):
@@ -332,9 +353,9 @@ def test_ranking_self_stabilizing_n4(monkeypatch, kind):
 
     monkeypatch.setattr(verifier, "final_sets", recorded)
     predicate = safe_predicate(RANKING, g, params)
-    assert verify_self_stabilizing(RANKING, g, params, predicate, budget=2 * 10**9) is True
+    assert verify_self_stabilizing(RANKING, g, params, predicate, budget=10**10) is True
     assert len(found) == 24
-    assert sum(map(len, found)) == 9216
+    assert sum(map(len, found)) == final_configurations
 
 
 def test_ranking_self_stabilizing_k2_tmax2():
@@ -427,6 +448,33 @@ CAPTURE = Protocol(
 )
 
 
+# States 0..5 on a circle.  Two odd states move the initiator on by two,
+# and an even initiator captures an odd responder one step ahead of it, so
+# even states never change.  Each rule reads only the parities and the
+# difference of the two states, so the step commutes with adding 2 mod 6,
+# which the record declares: the group has order 3 and two orbits, {0, 2, 4}
+# and {1, 3, 5}.  The restricted agent's even states stay 0, so the search
+# from the restricted start misses the final sets where it holds 2 or 4,
+# and only their images under the group bring them back.
+def _orbit_step(s0, s1, params):
+    if s0 % 2 and s1 % 2:
+        return (s0 + 2) % 6, s1
+    if s0 % 2 == 0 and (s1 - s0) % 6 == 1:
+        return s0, s0
+    return s0, s1
+
+
+ORBIT = Protocol(
+    name="orbit",
+    fields=(Field("value", 0, lambda params: 6),),
+    flatten=lambda s: (s,),
+    unflatten=lambda values: values[0],
+    step=_orbit_step,
+    output=lambda s: s,
+    symmetries=(lambda s, params: (s + 2) % 6,),
+)
+
+
 def _scipy_bottom_components(succ):
     """Bottom SCCs of the graph whose row e is every node's successor under pair e, by
     scipy's strong components of the deduplicated graph and a scan for leaving edges;
@@ -499,10 +547,18 @@ def test_bottom_components_match_scipy(seed):
     (CAPTURE, "cycle", 4, 1),
     (CAPTURE, "path", 4, 1),
     (CAPTURE, "star", 4, 1),
+    # A declared symmetry of order 3: the start restricts one agent to the
+    # two orbit minima, and the group's images give the other final sets.
+    (ORBIT, "complete", 4, 1),
+    (ORBIT, "cycle", 4, 1),
+    (ORBIT, "path", 4, 1),
+    (ORBIT, "star", 4, 1),
 ], ids=lambda x: getattr(x, "name", x))
 def test_final_sets_match_the_whole_space(protocol, kind, n, tmax):
     g = generate_graph(kind, n)
     tg = build_transition_graph(protocol, g, ProtocolParams(n=n, tmax=tmax))
+    # Every symmetry declared here holds, so each such record searches a restricted start.
+    assert (len(tg.group) > 1) == bool(protocol.symmetries)
     got = final_sets(tg)
     assert [sorted(f) for f in got] == _scipy_bottom_components(tg.successors)
     if protocol in (FIXED_OUTPUT, SWAP):
@@ -514,32 +570,104 @@ def test_final_sets_match_the_whole_space(protocol, kind, n, tmax):
 @pytest.mark.parametrize("kind", ["complete", "path"])
 def test_matching_image_is_the_contracted_factor_times_the_unmatched_digits(monkeypatch, kind):
     # Pair (0, 1) is matched and agent 2 is not.  The start set is the
-    # contracted factor of agents 0 and 1 times agent 2's q digits; without
-    # the factor's contraction it would be pair (0, 1)'s 4,704-key table
-    # image times them, 762,048 keys.
+    # contracted factor of agents 0 and 1 times agent 2's digits: all q of
+    # them for a record without symmetries, and one per orbit for RANKING,
+    # whose label rotation and color swap generate a group of order 2n = 6.
+    # Without the factor's contraction the unrestricted start would be pair
+    # (0, 1)'s 4,704-key table image times q, 762,048 keys.
     g = generate_graph(kind, 3)
-    tg = build_transition_graph(RANKING, g, ProtocolParams(n=3, tmax=2))
+    params = ProtocolParams(n=3, tmax=2)
+    tg = build_transition_graph(RANKING, g, params)
+    plain = build_transition_graph(dataclasses.replace(RANKING, symmetries=()), g, params)
     q = tg.agent_state_count
     assert tg.directed_pairs[0] == (0, 1)
-    start = _matching_image(tg)
-    digit, low = np.divmod(start, q * q)
-    factor = np.unique(low)
-    assert factor.size == 552
-    assert np.unique(start).size == start.size == factor.size * q == 89_424
-    assert sorted(set(digit.tolist())) == list(range(q))
-    for pair in [(0, 1), (1, 0)]:  # contracted: neither of its pairs shrinks it
-        assert np.unique(tg.step_keys(factor, tg.directed_pairs.index(pair))).size == factor.size
+    assert len(plain.group) == 1 and len(tg.group) == 6
+    representatives = tg.representatives
+    # The group acts freely: every state lies in exactly one orbit of 6.
+    assert np.unique(tg.group[:, representatives]).size == q == 6 * representatives.size
+    np.testing.assert_array_equal(representatives, np.unique(tg.group.min(axis=0)))
 
-    sizes = []
     step_keys = TransitionGraph.step_keys
+    for record, digits, size in [(plain, np.arange(q), 89_424), (tg, representatives, 14_904)]:
+        start = _matching_image(record)
+        digit, low = np.divmod(start, q * q)
+        factor = np.unique(low)
+        assert factor.size == 552
+        assert np.unique(start).size == start.size == factor.size * digits.size == size
+        np.testing.assert_array_equal(np.unique(digit), digits)
+        for pair in [(0, 1), (1, 0)]:  # contracted: neither of its pairs shrinks it
+            assert np.unique(record.step_keys(factor, record.directed_pairs.index(pair))).size == factor.size
 
-    def measured(self, keys, pair_index):
-        sizes.append(np.size(keys))
-        return step_keys(self, keys, pair_index)
+        sizes = []
 
-    monkeypatch.setattr(TransitionGraph, "step_keys", measured)
-    final_sets(tg)
-    assert max(sizes) <= start.size
+        def measured(self, keys, pair_index):
+            sizes.append(np.size(keys))
+            return step_keys(self, keys, pair_index)
+
+        monkeypatch.setattr(TransitionGraph, "step_keys", measured)
+        final_sets(record)
+        monkeypatch.setattr(TransitionGraph, "step_keys", step_keys)
+        assert max(sizes) <= start.size
+    assert final_sets(tg) == final_sets(plain)
+
+
+def _red_recolor_step(s0, s1, params):
+    """RANKING's step with every periodic recoloring picking RED.
+
+    A token's timer reads tmax after a step only when it was just reloaded.
+    """
+    return tuple(r._replace(colorA=RED, colorT=RED) if r.timerT == params.tmax else r
+                 for r in ranking.step(s0, s1, params))
+
+
+def _fixed_responder_step(s0, s1, params):
+    """ORBIT's step with a responder in state 5 always left in state 1: only t1 breaks the symmetry."""
+    r0, r1 = _orbit_step(s0, s1, params)
+    return r0, 1 if s1 == 5 else r1
+
+
+@pytest.mark.parametrize("mutant", [
+    dataclasses.replace(RANKING, step=_red_recolor_step),
+    dataclasses.replace(ORBIT, step=_fixed_responder_step),
+    dataclasses.replace(RANKING, symmetries=(ranking.rotate_labels,
+                                             lambda s, params: s._replace(idA=s.idA + 1))),
+    dataclasses.replace(RANKING, symmetries=(lambda s, params: s._replace(colorA=WHITE),)),
+], ids=["breaks-the-color-swap", "breaks-the-responder-table", "leaves-the-states",
+        "not-a-permutation"])
+@pytest.mark.parametrize("kind, n", [("complete", 2), ("path", 3)])
+def test_a_broken_symmetry_searches_every_start(mutant, kind, n):
+    # The red recoloring commutes with the label rotation but not with the
+    # color swap; the fixed responder keeps the initiator's table symmetric;
+    # idA + 1 is no state for the last label; whitening every agent sends
+    # two states to one.  Each record loses its whole group, with no error,
+    # and gets the final sets of the whole space.
+    g = generate_graph(kind, n)
+    params = ProtocolParams(n=n, tmax=1)
+    tg = build_transition_graph(mutant, g, params)
+    plain = build_transition_graph(dataclasses.replace(mutant, symmetries=()), g, params)
+    assert len(tg.group) == 1
+    assert tg.representatives.size == tg.agent_state_count
+    np.testing.assert_array_equal(np.sort(_matching_image(tg)), np.sort(_matching_image(plain)))
+    got = final_sets(tg)
+    assert [sorted(f) for f in got] == _scipy_bottom_components(tg.successors)
+
+
+@pytest.mark.parametrize("n, tmax", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_ranking_declares_a_group_of_order_2n(n, tmax):
+    # The verifier's table check accepts both maps, and the Python step,
+    # which those tables do not come from, agrees on a sample of pairs.
+    import random
+
+    params = ProtocolParams(n=n, tmax=tmax)
+    tg = build_transition_graph(RANKING, generate_graph("path", n), params, budget=10**10)
+    assert len(tg.group) == 2 * n
+    assert tg.representatives.size * 2 * n == tg.agent_state_count
+    rng = random.Random(n * 10 + tmax)
+    for _ in range(500):
+        s0, s1 = (RANKING.state_from_index(rng.randrange(tg.agent_state_count), params) for _ in "01")
+        for symmetry in RANKING.symmetries:
+            moved = ranking.step(symmetry(s0, params), symmetry(s1, params), params)
+            assert moved == tuple(symmetry(r, params) for r in ranking.step(s0, s1, params))
 
 
 @pytest.mark.parametrize("protocol, kind", [
