@@ -1,23 +1,44 @@
 /* The inner loop of engine.run_until for the ranking and neighbor protocols,
- * and the two-agent step that verifier._pair_tables tabulates.
+ * the uniform draws that feed it, and the two-agent step that
+ * verifier._pair_tables tabulates.
+ *
+ * poplab_draw fills a block of pair indices and poplab_draw_states a start
+ * configuration from a numpy Generator's bit generator, with exactly the
+ * numbers numpy gives: draw_below is numpy's random_bounded_uint64 (Lemire's
+ * method, with its raw 32-bit and 64-bit branches), called through the
+ * bitgen_t function table numpy exposes, so the Generator's stream and state
+ * move as they would under rng.integers.  poplab_draw is
+ * rng.integers(0, size, size=count); poplab_draw_states draws agent by agent
+ * and field by field, as Protocol.random_states consumes the stream on both
+ * of its paths.  Under _compiled.fits a field has at most 2^63 values, which
+ * both paths draw as draw_below does, or exactly 2^64 (a label set at
+ * n = 64), for which engine.random_below takes one raw 64-bit word, as
+ * draw_below does.  _compiled.load checks draw_below against numpy before the
+ * library is used.
  *
  * poplab_advance applies the scheduled pairs of one block of pair indices to
  * the configuration in place and stops at the first step after which the
  * stop condition holds: in the convergence phase the safe predicate (RANKED
  * for ranking, neighbor_safe for neighbor), in the closure phase a change of
  * either endpoint's output.  It returns the number of pairs consumed and sets
- * *hit when it stopped on the condition.  The Python modules ranking.step,
- * neighbor.step, oracles.classify_rank_config and oracles.neighbor_safe are
- * the reference; this file mirrors them line for line and engine.run_until
- * confirms its verdicts with the Python predicate.
+ * *hit when it stopped on the condition.  Both phases are one always-inline
+ * body with the protocol as a compile-time constant, instantiated once per
+ * protocol.  The Python modules ranking.step, neighbor.step,
+ * oracles.classify_rank_config and oracles.neighbor_safe are the reference;
+ * this file mirrors them line for line and engine.run_until confirms its
+ * verdicts with the Python predicate.
  *
  * The convergence phase (converge) keeps a census of the token labels and one
  * of the agent labels: how many agents hold each label, and how many labels
  * are held.  Both are built at the start of each call, O(n) per block, and
- * follow the two agents each step touches.  The O(n) predicate runs only when
- * both count n labels.  That gate is exact: RANKED, which neighbor_safe
- * checks first, holds only when both labelings are permutations of 0..n-1.
- * The closure phase keeps no census.
+ * follow the two agents each step touches.  The tokens of a step swap, so the
+ * token census takes one net update per step, which only a collision bump
+ * makes move.  For neighbor it also counts the agents whose resetE is live.
+ * The O(n) predicate runs only when both censuses count n labels and, for
+ * neighbor, no reset is live.  That gate is exact: RANKED, which
+ * neighbor_safe checks first, holds only when both labelings are
+ * permutations of 0..n-1, and neighbor_safe needs every resetE to be 0.  The
+ * closure phase keeps no census.
  *
  * poplab_step_pairs applies the same step in place to each of count
  * (initiator, responder) row pairs, pair i being rows 2i and 2i+1, with no
@@ -39,8 +60,73 @@ enum { CFG_N, CFG_NEIGHBOR, CFG_TMAX, CFG_PMAX, CFG_EMAX, CFG_M_KNOWN };
 
 typedef uint64_t u64;
 
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* numpy's bit generator interface, as numpy/random/bitgen.h declares it. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* A uniform draw from 0..rng, as numpy's random_bounded_uint64 with offset 0
+ * and Lemire's rejection (use_masked false) gives it. */
+static inline u64 draw_below(bitgen_t *bg, u64 rng)
+{
+    if (rng == 0)
+        return 0;
+    if (rng < UINT32_MAX) {
+        uint32_t excl = (uint32_t)rng + 1;
+        uint64_t m = (uint64_t)bg->next_uint32(bg->state) * excl;
+        uint32_t leftover = (uint32_t)m;
+        if (leftover < excl) {
+            uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % excl;
+            while (leftover < threshold) {
+                m = (uint64_t)bg->next_uint32(bg->state) * excl;
+                leftover = (uint32_t)m;
+            }
+        }
+        return m >> 32;
+    }
+    if (rng == UINT32_MAX)
+        return bg->next_uint32(bg->state);
+    if (rng < UINT64_MAX) {
+        u64 excl = rng + 1;
+        __uint128_t m = (__uint128_t)bg->next_uint64(bg->state) * excl;
+        u64 leftover = (u64)m;
+        if (leftover < excl) {
+            u64 threshold = (UINT64_MAX - rng) % excl;
+            while (leftover < threshold) {
+                m = (__uint128_t)bg->next_uint64(bg->state) * excl;
+                leftover = (u64)m;
+            }
+        }
+        return (u64)(m >> 64);
+    }
+    return bg->next_uint64(bg->state);
+}
+
+/* out[i] = draw_below(bg, rng) for i < count. */
+void poplab_draw(bitgen_t *bg, u64 rng, int64_t count, u64 *out)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = draw_below(bg, rng);
+}
+
+/* count rows of fields values, row-major: field f of a row is lo[f] plus a
+ * uniform draw from 0..rng[f]. */
+void poplab_draw_states(bitgen_t *bg, const u64 *lo, const u64 *rng, int64_t fields,
+                        int64_t count, u64 *out)
+{
+    for (int64_t i = 0; i < count; i++)
+        for (int64_t f = 0; f < fields; f++)
+            *out++ = lo[f] + draw_below(bg, rng[f]);
+}
+
 /* The agent side of a ranking step: agent a now hosts the token (idT, cT, tT). */
-static inline void host(u64 *a, u64 idT, u64 cT, u64 tT, u64 n, u64 tmax)
+ALWAYS_INLINE void host(u64 *restrict a, u64 idT, u64 cT, u64 tT, u64 n, u64 tmax)
 {
     u64 idA = a[IDA], cA = a[COLORA];
     if (idA == idT) {
@@ -65,7 +151,7 @@ static inline void host(u64 *a, u64 idT, u64 cT, u64 tT, u64 n, u64 tmax)
 }
 
 /* ranking.step on the rank parts of a0 (initiator) and a1 (responder). */
-static inline void rank_step(u64 *a0, u64 *a1, u64 n, u64 tmax)
+ALWAYS_INLINE void rank_step(u64 *restrict a0, u64 *restrict a1, u64 n, u64 tmax)
 {
     u64 idT0 = a1[IDT], cT0 = a1[COLORT], tT0 = a1[TIMERT];
     u64 idT1 = a0[IDT], cT1 = a0[COLORT], tT1 = a0[TIMERT];
@@ -81,7 +167,7 @@ static inline void rank_step(u64 *a0, u64 *a1, u64 n, u64 tmax)
 
 /* The neighbor body of one agent after its rank part has stepped: deg is the
  * payload of the token it now hosts, nb its neighbor set after the signal. */
-static inline void audit(u64 *a, u64 partner_idA, u64 deg, u64 nb, u64 shared,
+ALWAYS_INLINE void audit(u64 *restrict a, u64 partner_idA, u64 deg, u64 nb, u64 shared,
                          const int64_t *cfg)
 {
     u64 cap = 2 * (u64)cfg[CFG_M_KNOWN] + 1;
@@ -110,7 +196,7 @@ static inline void audit(u64 *a, u64 partner_idA, u64 deg, u64 nb, u64 shared,
 }
 
 /* neighbor.step: the ranking step, then both agents' neighbor bodies. */
-static inline void neighbor_step(u64 *a0, u64 *a1, const int64_t *cfg)
+ALWAYS_INLINE void neighbor_step(u64 *restrict a0, u64 *restrict a1, const int64_t *cfg)
 {
     /* The degree payload travels with the physical token. */
     u64 deg0 = a1[DEGREET], deg1 = a0[DEGREET];
@@ -215,34 +301,49 @@ static inline void census_move(census *c, u64 from, u64 to)
         c->distinct++;
 }
 
+/* One step of pair (a0, a1), the protocol fixed at compile time; n and tmax
+ * come from cfg, read once by the caller. */
+ALWAYS_INLINE void step(u64 *restrict a0, u64 *restrict a1, const int64_t *cfg, u64 n, u64 tmax,
+                        int neighbor)
+{
+    if (neighbor)
+        neighbor_step(a0, a1, cfg);
+    else
+        rank_step(a0, a1, n, tmax);
+}
+
 /* The convergence phase: step until the safe predicate holds.  RANKED (and so
  * neighbor_safe) needs the token labels and the agent labels each to be all
- * n labels, so the O(n) predicate runs only when both censuses count n. */
-static int64_t converge(const int64_t *cfg, const int64_t *pairs, const int64_t *adj_start,
-                        const int64_t *adj, u64 *states, const int64_t *block, int64_t len,
-                        int64_t *hit)
+ * n labels, and neighbor_safe needs no live reset, so the O(n) predicate runs
+ * only when both censuses count n and, for neighbor, live is 0. */
+ALWAYS_INLINE int64_t converge(const int64_t *cfg, const int64_t *pairs,
+                               const int64_t *adj_start, const int64_t *adj, u64 *states,
+                               const int64_t *block, int64_t len, int64_t *hit, int neighbor)
 {
     int64_t n = cfg[CFG_N];
-    int neighbor = cfg[CFG_NEIGHBOR] != 0;
-    int64_t stride = neighbor ? NEIGHBOR_FIELDS : RANK_FIELDS;
     u64 tmax = (u64)cfg[CFG_TMAX];
+    int64_t stride = neighbor ? NEIGHBOR_FIELDS : RANK_FIELDS;
     census tokens, labels;
     census_fill(&tokens, states, n, stride, IDT);
     census_fill(&labels, states, n, stride, IDA);
+    int64_t live = 0; /* agents whose resetE is not 0 */
+    if (neighbor)
+        for (int64_t v = 0; v < n; v++)
+            live += states[v * stride + RESETE] != 0;
     *hit = 1;
     for (int64_t i = 0; i < len; i++) {
-        u64 *a0 = states + pairs[2 * block[i]] * stride;
-        u64 *a1 = states + pairs[2 * block[i] + 1] * stride;
-        u64 t0 = a0[IDT], t1 = a1[IDT], l0 = a0[IDA], l1 = a1[IDA];
-        if (neighbor)
-            neighbor_step(a0, a1, cfg);
-        else
-            rank_step(a0, a1, (u64)n, tmax);
-        census_move(&tokens, t0, a0[IDT]);
-        census_move(&tokens, t1, a1[IDT]);
+        u64 *restrict a0 = states + pairs[2 * block[i]] * stride;
+        u64 *restrict a1 = states + pairs[2 * block[i] + 1] * stride;
+        u64 t0 = a0[IDT], l0 = a0[IDA], l1 = a1[IDA];
+        int64_t live_before = neighbor ? (a0[RESETE] != 0) + (a1[RESETE] != 0) : 0;
+        step(a0, a1, cfg, (u64)n, tmax, neighbor);
+        /* The tokens swap: a0 now hosts a1's, a1 a0's or its collision bump. */
+        census_move(&tokens, t0, a1[IDT]);
         census_move(&labels, l0, a0[IDA]);
         census_move(&labels, l1, a1[IDA]);
-        if (tokens.distinct != n || labels.distinct != n)
+        if (neighbor)
+            live += (a0[RESETE] != 0) + (a1[RESETE] != 0) - live_before;
+        if (tokens.distinct != n || labels.distinct != n || live != 0)
             continue;
         if (neighbor ? neighbor_safe(states, cfg, adj_start, adj) : ranked(states, n, RANK_FIELDS))
             return i + 1;
@@ -251,26 +352,19 @@ static int64_t converge(const int64_t *cfg, const int64_t *pairs, const int64_t 
     return len;
 }
 
-int64_t poplab_advance(const int64_t *cfg, const int64_t *pairs, const int64_t *adj_start,
-                       const int64_t *adj, u64 *states, const int64_t *block, int64_t len,
-                       int64_t closure, int64_t *hit)
+/* The closure phase: step until an endpoint's output changes. */
+ALWAYS_INLINE int64_t closure(const int64_t *cfg, const int64_t *pairs, u64 *states,
+                              const int64_t *block, int64_t len, int64_t *hit, int neighbor)
 {
-    if (!closure)
-        return converge(cfg, pairs, adj_start, adj, states, block, len, hit);
-    int64_t n = cfg[CFG_N];
-    int neighbor = cfg[CFG_NEIGHBOR] != 0;
+    u64 n = (u64)cfg[CFG_N], tmax = (u64)cfg[CFG_TMAX];
     int64_t stride = neighbor ? NEIGHBOR_FIELDS : RANK_FIELDS;
-    u64 tmax = (u64)cfg[CFG_TMAX];
     *hit = 1;
     for (int64_t i = 0; i < len; i++) {
-        u64 *a0 = states + pairs[2 * block[i]] * stride;
-        u64 *a1 = states + pairs[2 * block[i] + 1] * stride;
+        u64 *restrict a0 = states + pairs[2 * block[i]] * stride;
+        u64 *restrict a1 = states + pairs[2 * block[i] + 1] * stride;
         u64 o0 = a0[IDA], o1 = a1[IDA];
         u64 nb0 = neighbor ? a0[NEIGHBORS] : 0, nb1 = neighbor ? a1[NEIGHBORS] : 0;
-        if (neighbor)
-            neighbor_step(a0, a1, cfg);
-        else
-            rank_step(a0, a1, (u64)n, tmax);
+        step(a0, a1, cfg, n, tmax, neighbor);
         if (a0[IDA] != o0 || a1[IDA] != o1)
             return i + 1;
         if (neighbor && (a0[NEIGHBORS] != nb0 || a1[NEIGHBORS] != nb1))
@@ -280,6 +374,17 @@ int64_t poplab_advance(const int64_t *cfg, const int64_t *pairs, const int64_t *
     return len;
 }
 
+int64_t poplab_advance(const int64_t *cfg, const int64_t *pairs, const int64_t *adj_start,
+                       const int64_t *adj, u64 *states, const int64_t *block, int64_t len,
+                       int64_t closure_phase, int64_t *hit)
+{
+    if (cfg[CFG_NEIGHBOR])
+        return closure_phase ? closure(cfg, pairs, states, block, len, hit, 1)
+                             : converge(cfg, pairs, adj_start, adj, states, block, len, hit, 1);
+    return closure_phase ? closure(cfg, pairs, states, block, len, hit, 0)
+                         : converge(cfg, pairs, adj_start, adj, states, block, len, hit, 0);
+}
+
 void poplab_step_pairs(const int64_t *cfg, u64 *rows, int64_t count)
 {
     int neighbor = cfg[CFG_NEIGHBOR] != 0;
@@ -287,9 +392,6 @@ void poplab_step_pairs(const int64_t *cfg, u64 *rows, int64_t count)
     u64 n = (u64)cfg[CFG_N], tmax = (u64)cfg[CFG_TMAX];
     for (int64_t i = 0; i < count; i++) {
         u64 *a0 = rows + 2 * i * stride;
-        if (neighbor)
-            neighbor_step(a0, a0 + stride, cfg);
-        else
-            rank_step(a0, a0 + stride, n, tmax);
+        step(a0, a0 + stride, cfg, n, tmax, neighbor);
     }
 }

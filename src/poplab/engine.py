@@ -14,10 +14,12 @@ determined by (protocol, graph, initial configuration, params, seed); trial
 seeds are split from a master seed with a documented mixing function so
 sweeps stay reproducible and embarrassingly parallel.
 
-The schedule is drawn in one place, ``_draw_and_advance``: it draws blocks
-of ``_BLOCK`` pair indices and hands each block to one of two step loops,
-which report how many pairs they consumed before the stop condition
-(safety, or an output change in the closure window), so the seed stream,
+The schedule is set in one place, ``_draw_and_advance``: it sizes blocks
+of at most ``_BLOCK`` pair indices, takes each from the step loop's
+``draw`` and hands it to the loop, which reports how many pairs it consumed
+before the stop condition (safety, or an output change in the closure
+window).  The Python loop draws a block with ``rng.integers``; the compiled
+loop draws the same numbers in C (see ``_compiled``), so the seed stream,
 the record, ``final_states`` and the trace do not depend on the loop.
 ``run_until`` calls it once for convergence and once for the closure
 window.  ``replay`` applies a given pair sequence, such as a recorded trace
@@ -43,7 +45,9 @@ step it stops at is the Python loop's; ``_loop.c``'s header says how.
 ``sample_uniform_config`` draws a start configuration with one
 ``rng.integers`` call over the field sizes, which gives the numbers of one
 ``random_below`` per field in turn; ``Protocol``'s docstring says when and
-why.
+why.  ``run_trial`` calls it on the Python path only: on the compiled path
+the loop draws the same start in C, agent by agent and field by field, and
+checks it against the field table in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -330,12 +334,14 @@ def sample_uniform_config(protocol, params, seed) -> tuple:
 
 
 class _PythonLoop:
-    """The reference step loop: ``protocol.step`` and the predicate, in Python.
+    """The reference step loop: ``rng.integers``, ``protocol.step`` and the predicate, in Python.
 
-    ``converge(block)`` steps through a block of pair indices until the safe
-    predicate holds, ``closure(block)`` until an output differs from the one
-    the agent had when the closure window began; both return (pairs
-    consumed, stopped on the condition).  ``states()`` is the configuration.
+    ``draw(rng, size)`` is the next block of ``size`` pair indices,
+    ``rng.integers(0, len(pairs), size=size)``.  ``converge(block)`` steps
+    through a block of pair indices until the safe predicate holds,
+    ``closure(block)`` until an output differs from the one the agent had
+    when the closure window began; both return (pairs consumed, stopped on
+    the condition).  ``states()`` is the configuration.
     """
 
     def __init__(self, protocol, pairs, c0, params, safe_predicate):
@@ -345,6 +351,9 @@ class _PythonLoop:
         self._params = params
         self._safe = safe_predicate
         self._outputs = None
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.integers(0, len(self._pairs), size=size)
 
     def converge(self, block: np.ndarray) -> tuple[int, bool]:
         pairs, states, params, step, safe = (
@@ -381,17 +390,19 @@ class _PythonLoop:
         return self._states
 
 
-def _compiled_loop(protocol, g: Graph, params, c0, safe_predicate):
+def _compiled_loop(protocol, g: Graph, params, start, safe_predicate):
     """The one dispatch rule: the compiled loop for this run, or None for the Python loop.
 
     Compiled only when the predicate carries the ``safe_for`` mark of the
-    protocol's oracle factory built for this graph and n, and
-    ``_compiled.library_for`` returns the library: the protocol is
-    ``RANKING`` or ``NEIGHBOR``, n <= 64 with every param inside its C
-    field, and the library loaded.
+    protocol's oracle factory built for this graph and n, the graph has n
+    agents, and ``_compiled.library_for`` returns the library: the protocol
+    is ``RANKING`` or ``NEIGHBOR``, n <= 64 with every param inside its C
+    field, and the library loaded.  ``start`` is the start configuration,
+    or the Generator that ``sample_uniform_config`` would draw it from,
+    which the compiled loop then draws from in C.
     """
     safe_for = getattr(safe_predicate, "safe_for", None)
-    if safe_for is None:
+    if safe_for is None or g.n != params.n:
         return None
     from . import _compiled  # not at the top: _compiled imports ranking, which imports engine
 
@@ -401,7 +412,7 @@ def _compiled_loop(protocol, g: Graph, params, c0, safe_predicate):
     lib = _compiled.library_for(protocol, params)
     if lib is None:
         return None
-    return _compiled.CompiledLoop(lib, protocol, g, params, c0)
+    return _compiled.CompiledLoop(lib, protocol, g, params, start)
 
 
 def _confirm(safe_predicate, states, safe: bool, step: int) -> None:
@@ -413,17 +424,17 @@ def _confirm(safe_predicate, states, safe: bool, step: int) -> None:
         )
 
 
-def _draw_and_advance(rng, pairs, budget: int, advance, trace) -> tuple[int, bool]:
+def _draw_and_advance(rng, pairs, budget: int, loop, advance, trace) -> tuple[int, bool]:
     """The scheduler: uniform pair indices in blocks of at most ``_BLOCK``, fed to ``advance``.
 
-    ``advance`` is a loop's ``converge`` or ``closure``.  Stops once it
-    reports its condition or ``budget`` pairs are consumed; the consumed
-    pairs extend ``trace`` unless it is None.  Returns (pairs consumed,
-    stopped on the condition).
+    Each block comes from ``loop.draw``; ``advance`` is the loop's
+    ``converge`` or ``closure``.  Stops once it reports its condition or
+    ``budget`` pairs are consumed; the consumed pairs extend ``trace``
+    unless it is None.  Returns (pairs consumed, stopped on the condition).
     """
     done = 0
     while done < budget:
-        block = rng.integers(0, len(pairs), size=min(_BLOCK, budget - done))
+        block = loop.draw(rng, min(_BLOCK, budget - done))
         consumed, stopped = advance(block)
         done += consumed
         if trace is not None:
@@ -462,33 +473,41 @@ def run_until(
         raise DomainViolation(f"configuration/graph/params sizes disagree: {len(c0)}, {g.n}, {params.n}")
     for s in c0:
         protocol.validate_state(s, params)
-
-    rng = np.random.default_rng(seed)
-    pairs = g.directed_pairs
     loop = _compiled_loop(protocol, g, params, c0, safe_predicate)
     compiled = loop is not None
     if loop is None:
-        loop = _PythonLoop(protocol, pairs, c0, params, safe_predicate)
+        loop = _PythonLoop(protocol, g.directed_pairs, c0, params, safe_predicate)
+    return _run(loop, compiled, protocol, g, params, seed, max_steps, safe_predicate,
+                closure_window, record_trace)
+
+
+def _run(loop, compiled: bool, protocol, g: Graph, params, seed: int, max_steps: int,
+         safe_predicate: Callable, closure_window: int, record_trace: bool) -> RunResult:
+    """``run_until`` on a loop that holds its checked start configuration."""
+    rng = np.random.default_rng(seed)
+    pairs = g.directed_pairs
     trace = [] if record_trace else None
 
     steps = 0
-    steps_to_safe = 0 if safe_predicate(list(c0)) else None
+    steps_to_safe = 0 if safe_predicate(list(loop.states())) else None
     if steps_to_safe is None:
-        steps, safe = _draw_and_advance(rng, pairs, max_steps, loop.converge, trace)
+        steps, safe = _draw_and_advance(rng, pairs, max_steps, loop, loop.converge, trace)
         if safe:
             steps_to_safe = steps
+    states = loop.states()
     if compiled and steps:
-        _confirm(safe_predicate, loop.states(), steps_to_safe is not None, steps)
+        _confirm(safe_predicate, states, steps_to_safe is not None, steps)
 
     closure_ok = None
     window = 0
     if steps_to_safe is not None:
-        window, changed = _draw_and_advance(rng, pairs, closure_window, loop.closure, trace)
+        window, changed = _draw_and_advance(rng, pairs, closure_window, loop, loop.closure, trace)
         closure_ok = not changed
-    states = loop.states()
-    if compiled and window:
-        # The safe set is closed under steps, so the final configuration is safe too.
-        _confirm(safe_predicate, states, True, steps + window)
+    if window:
+        states = loop.states()
+        if compiled:
+            # The safe set is closed under steps, so the final configuration is safe too.
+            _confirm(safe_predicate, states, True, steps + window)
 
     return RunResult(
         protocol=protocol.name,
@@ -522,10 +541,21 @@ def run_trial(
     The initial configuration and the scheduler use independent streams
     mixed from ``trial_seed`` (indices 0 and 1); the result records
     ``trial_seed`` itself, so a record is reproducible from its seed alone.
+    On the compiled path the loop draws the start in C from the first
+    stream, with the numbers ``sample_uniform_config`` draws, and checks it
+    in one vectorized pass instead of ``validate_state`` per agent.
     """
-    c0 = sample_uniform_config(protocol, params, mix_seed(trial_seed, 0))
-    res = run_until(
-        protocol, g, c0, params, mix_seed(trial_seed, 1), max_steps, safe_predicate,
-        closure_window=closure_window, record_trace=record_trace,
-    )
+    start = np.random.default_rng(mix_seed(trial_seed, 0))
+    loop = _compiled_loop(protocol, g, params, start, safe_predicate)
+    if loop is None:
+        c0 = sample_uniform_config(protocol, params, start)
+        res = run_until(
+            protocol, g, c0, params, mix_seed(trial_seed, 1), max_steps, safe_predicate,
+            closure_window=closure_window, record_trace=record_trace,
+        )
+    else:
+        if max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+        res = _run(loop, True, protocol, g, params, mix_seed(trial_seed, 1), max_steps,
+                   safe_predicate, closure_window, record_trace)
     return dataclasses.replace(res, seed=trial_seed)

@@ -688,16 +688,24 @@ def verify_transition_graph(tg: TransitionGraph, fsets, safe_predicate: Callable
     """Final-set criterion on a prebuilt transition graph and its ``final_sets``.
 
     The sets are checked in the order given, which for ``final_sets`` is by
-    smallest key.  Returns True or a Witness.
+    smallest key.  Each set is decoded once into a digit array, one column
+    per agent; its outputs are constant when every distinct digit of each
+    agent's column has the output of that agent's digit in the smallest
+    key.  The safe predicate then sees each configuration, built from
+    ``tg.states``, in the set's iteration order.  Returns True or a Witness.
     """
-    output = tg.protocol.output
+    output, state = tg.protocol.output, tg.states.__getitem__
+    q, n = tg.agent_state_count, tg.graph.n
     for fset in fsets:
-        configs = {key: tg.decode(key) for key in fset}
+        keys = np.fromiter(fset, dtype=np.int64, count=len(fset))
+        digits = keys[:, None] // q ** np.arange(n, dtype=np.int64) % q
         ref_key = min(fset)
-        ref_outputs = tuple(map(output, configs[ref_key]))
-        if any(tuple(map(output, states)) != ref_outputs for states in configs.values()):
+        ref_outputs = tuple(map(output, tg.decode(ref_key)))
+        if any(output(state(d)) != ref_outputs[a]
+               for a in range(n) for d in set(digits[:, a].tolist())):
             return _output_change_witness(tg, ref_key)
-        for states in configs.values():
+        for row in digits.tolist():
+            states = tuple(map(state, row))
             if not safe_predicate(states):
                 return Witness(
                     kind="unsafe_final",

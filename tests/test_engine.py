@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import shutil
 import subprocess
@@ -507,14 +508,17 @@ NEIGHBOR_FLAWS = {
     "fake label": lambda s: s._replace(neighbors=s.neighbors | 1 << 2),
     # Agent 4 is blue while the token of its label is red: labels still distinct.
     "stale color": lambda s: s._replace(rank=s.rank._replace(colorA=BLUE)),
+    # Agent 4's error signal is live: the census sees it, so the gate stays shut.
+    "live reset": lambda s: s._replace(resetE=1),
 }
 
 
 @pytest.mark.parametrize("flaw", NEIGHBOR_FLAWS)
 def test_census_gate_leaves_the_neighbor_checks_to_the_scan(compiled, flaw):
     # A safe configuration stays safe.  A flawed one keeps distinct tokens
-    # and labels, so the gate opens after every step, but agent 4 never
-    # interacts, so the flaw stays and the configuration is never safe.
+    # and labels, so the label censuses let every step through (a live reset
+    # shuts the gate itself), but agent 4 never interacts, so the flaw stays
+    # and the configuration is never safe.
     g = generate_graph("cycle", 5)
     params = default_params(g, know_m=True)
     c0 = list(safe_neighbor_config(g, params))
@@ -552,6 +556,126 @@ def test_dispatch_takes_the_python_loop_unless_every_condition_holds(compiled):
     params65 = default_params(g65)
     c65 = sample_uniform_config(RANKING, params65, 0)
     assert engine._compiled_loop(RANKING, g65, params65, c65, rank_safe_predicate(params65)) is None
+
+
+# ---------------------------------------------------------------------------
+# The draws in C against numpy: the blocks, the start and the load-time check.
+# ---------------------------------------------------------------------------
+
+# One bound per branch of _loop.c's draw_below: 0, 32-bit Lemire (twice), the
+# raw 32-bit word, 64-bit Lemire and the raw 64-bit word.
+DRAW_BOUNDS = [1, 12, 2**32 - 1, 2**32, 2**33 + 1, 2**64]
+
+
+@pytest.mark.parametrize("bound", DRAW_BOUNDS)
+def test_c_draw_matches_rng_integers_at_every_branch(compiled, bound):
+    ours, theirs = np.random.default_rng(bound % 997), np.random.default_rng(bound % 997)
+    for rng in (ours, theirs):
+        rng.integers(0, 12, size=3)  # an odd number of 32-bit draws: the buffered half is live
+    got = np.empty(257, dtype=np.uint64)
+    _compiled._draw_with(_compiled.library().draw, ours, bound - 1, len(got), got.ctypes.data)
+    want = theirs.integers(0, bound, size=len(got), dtype=np.uint64 if bound > 2**63 else np.int64)
+    assert got.tolist() == want.tolist()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("kind, n", [("path", 2), ("complete", 8), ("cycle", 64)])
+def test_loop_draws_the_blocks_rng_integers_draws(compiled, kind, n):
+    g = generate_graph(kind, n)
+    params = default_params(g)
+    loop = _compiled.CompiledLoop(_compiled.library(), RANKING, g, params,
+                                  sample_uniform_config(RANKING, params, 0))
+    ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+    for size in (1, 7, engine._BLOCK, 100):
+        block = loop.draw(ours, size)
+        assert block.dtype == np.int64 and len(block) == size
+        assert block.tolist() == theirs.integers(0, len(g.directed_pairs), size=size).tolist()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32, 33, 64])
+@pytest.mark.parametrize("protocol", [RANKING, NEIGHBOR], ids=["ranking", "neighbor"])
+def test_c_drawn_start_matches_sample_uniform_config(compiled, protocol, n):
+    # Neighbor's label sets have 2^n values: at n = 32 the raw 32-bit word, at
+    # n = 33 64-bit Lemire, at n = 64 the per-field path of random_below.
+    g = generate_graph("path", n)
+    params = default_params(g, know_m=protocol is NEIGHBOR)
+    for seed in range(4):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        loop = _compiled.CompiledLoop(_compiled.library(), protocol, g, params, ours)
+        assert loop.states() == list(sample_uniform_config(protocol, params, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (0, 3, "idA out of 0..2"),  # above the field
+    (3, 0, "colorT out of 1..2"),  # below it
+])
+def test_drawn_start_outside_the_domain_raises_the_state_check(compiled, field, value, message):
+    lib = _compiled.library()
+
+    def bad_draw(bit_generator, lo, top, fields, count, out):
+        lib.draw_states(bit_generator, lo, top, fields, count, out)
+        ctypes.c_uint64.from_address(out + 8 * (fields + field)).value = value  # agent 1
+
+    g = generate_graph("complete", 3)
+    params = ProtocolParams(n=3, tmax=2)
+    with pytest.raises(DomainViolation, match=message):
+        _compiled.CompiledLoop(lib._replace(draw_states=bad_draw), RANKING, g, params,
+                               np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("fork", ["values", "state"])
+def test_library_refuses_a_draw_that_forks_the_seed_stream(compiled, monkeypatch, fork):
+    reference = _compiled._reference_draws
+
+    def forked(rng, bound, count):
+        want = reference(rng, bound, count)
+        if fork == "values":
+            want[-1] ^= 1
+        elif bound == _compiled._CHECK_BOUNDS[-1]:
+            rng.integers(0, 2)  # the same numbers, then one more draw
+        return want
+
+    monkeypatch.setattr(_compiled, "_reference_draws", forked)
+    with pytest.raises(OSError, match="other numbers" if fork == "values" else "another state"):
+        _compiled.load()
+    _compiled.library.cache_clear()
+    try:
+        assert _compiled.library() is None
+        g = generate_graph("cycle", 4)
+        params = default_params(g)
+        pred = rank_safe_predicate(params)
+        assert engine._compiled_loop(RANKING, g, params, np.random.default_rng(0), pred) is None
+    finally:
+        monkeypatch.undo()
+        _compiled.library.cache_clear()
+    assert _compiled.library() is not None
+
+
+@pytest.mark.parametrize("protocol", [RANKING, NEIGHBOR], ids=["ranking", "neighbor"])
+def test_run_trial_draws_in_c_what_the_python_path_draws(compiled, monkeypatch, protocol):
+    # run_trial on the compiled path draws its start and blocks in C; the
+    # wrapped predicate takes the Python path, which draws them with numpy.
+    starts = []
+    sample = engine.sample_uniform_config
+    monkeypatch.setattr(engine, "sample_uniform_config",
+                        lambda *args: starts.append(args) or sample(*args))
+    for i in range(150):
+        g, params, max_steps, closure_window = differential_case(protocol, i)
+        if i % 4 == 3:
+            pred = always_safe(protocol, g, params)
+        else:
+            pred = safe_predicate(protocol, g, params)
+        runs = []
+        for p in (pred, lambda states: pred(states)):
+            runs.append(run_trial(protocol, g, params, i, max_steps=max_steps, safe_predicate=p,
+                                  closure_window=closure_window, record_trace=True))
+            assert len(starts) == len(runs) - 1  # only the Python path samples in Python
+        starts.clear()
+        assert runs[0] == runs[1]
+        assert runs[0].final_states == runs[1].final_states
+        assert runs[0].trace == runs[1].trace
 
 
 def test_python_predicate_confirms_the_compiled_verdict(compiled):

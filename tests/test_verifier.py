@@ -528,6 +528,45 @@ def test_bottom_components_match_scipy(seed):
     assert [c.tolist() for c in _bottom_components(succ)] == expected
 
 
+def verify_by_decoding_every_key(tg, fsets, predicate):
+    """The final-set check decoded key by key: the reference for verify_transition_graph."""
+    output = tg.protocol.output
+    for fset in fsets:
+        configs = {key: tg.decode(key) for key in fset}
+        ref_outputs = tuple(map(output, configs[min(fset)]))
+        if any(tuple(map(output, states)) != ref_outputs for states in configs.values()):
+            return verifier._output_change_witness(tg, min(fset))
+        for states in configs.values():
+            if not predicate(states):
+                return Witness("unsafe_final", states, (), None, ref_outputs, ref_outputs)
+    return True
+
+
+@pytest.mark.parametrize("protocol, kind, n, predicate", [
+    (RANKING, "complete", 3, None),
+    (RANKING, "path", 3, None),
+    # Rejects most of the final configurations: the witness is the first of them.
+    (RANKING, "path", 3, lambda states: states[0].idA == 0 and states[1].colorA != WHITE),
+    (GREEDY_DEGREE, "path", 3, None),
+    (FIXED_OUTPUT, "complete", 3, None),
+    (OSCILLATOR, "complete", 3, lambda states: True),
+    (SWAP, "path", 3, lambda states: states[2] != 1),
+], ids=["ranking-K3", "ranking-P3", "ranking-P3-strict", "greedydegree-P3", "fixedoutput-K3",
+        "oscillator-K3", "swap-P3"])
+def test_verify_decodes_each_final_set_once_with_the_same_verdict(protocol, kind, n, predicate):
+    g = generate_graph(kind, n)
+    params = ProtocolParams(n=n, tmax=1)
+    tg = build_transition_graph(protocol, g, params)
+    fsets = final_sets(tg)
+    if predicate is None:
+        predicate = safe_predicate(protocol, g, params)
+    verdict = verify_transition_graph(tg, fsets, predicate)
+    assert verdict == verify_by_decoding_every_key(tg, fsets, predicate)
+    if verdict is not True:
+        assert json.dumps(verdict.to_json(protocol)) == json.dumps(
+            verify_by_decoding_every_key(tg, fsets, predicate).to_json(protocol))
+
+
 @pytest.mark.parametrize("protocol, kind, n, tmax", [
     (RANKING, "complete", 2, 1),
     (RANKING, "complete", 2, 2),
