@@ -101,25 +101,34 @@ def test_byte_identical_reruns(capsys):
     assert out_a == out_b
 
 
-# sha256 of the full stdout of each command, recorded before protocols shared
-# one interface: a refactor or fast path that moves a record, a seed stream or
-# a verdict changes a digest.
-GOLDEN_STDOUT_SHA256 = [
-    (("run", "--protocol", "ranking", "--graph", "random_connected:6,8@3",
-      "--trials", "5", "--seed", "7", "--closure-window", "2000"),
-     0, "432a7d3283ab2294e079649da2027f2d37622313edcea49990243e4e8a36b080"),
-    (("run", "--protocol", "neighbor", "--graph", "path:4",
-      "--trials", "5", "--seed", "7", "--closure-window", "2000"),
-     0, "16cecca39a4d3660118f6e5370de788aa6cb113379c6a0fcba5117782eaeb96b"),
-    (("verify", "--protocol", "ranking", "--graph", "complete:2"),
-     0, "5ce2e165a09439d0db054c7891c6e0cd82cca99a8bf0dc751feaba321ddf748a"),
-    (("verify", "--protocol", "greedydegree", "--impossibility", "path:3,complete:3"),
-     3, "f850082b56d9f35b2b8b373cb84989fefcfe0644cd8e8921a4d409cd53df764b"),
-]
+# sha256 of the full stdout of each command, by test id, recorded before
+# protocols shared one interface: a refactor or fast path that moves a record,
+# a seed stream or a verdict changes a digest.  The entries whose id names a
+# graph were recorded before final sets became key arrays; most carry a witness.
+GOLDEN_STDOUT_SHA256 = {
+    "run-ranking": (("run", "--protocol", "ranking", "--graph", "random_connected:6,8@3",
+                     "--trials", "5", "--seed", "7", "--closure-window", "2000"),
+                    0, "432a7d3283ab2294e079649da2027f2d37622313edcea49990243e4e8a36b080"),
+    "run-neighbor": (("run", "--protocol", "neighbor", "--graph", "path:4",
+                      "--trials", "5", "--seed", "7", "--closure-window", "2000"),
+                     0, "16cecca39a4d3660118f6e5370de788aa6cb113379c6a0fcba5117782eaeb96b"),
+    "verify-ranking": (("verify", "--protocol", "ranking", "--graph", "complete:2"),
+                       0, "5ce2e165a09439d0db054c7891c6e0cd82cca99a8bf0dc751feaba321ddf748a"),
+    "verify-greedydegree": (("verify", "--protocol", "greedydegree", "--impossibility", "path:3,complete:3"),
+                            3, "f850082b56d9f35b2b8b373cb84989fefcfe0644cd8e8921a4d409cd53df764b"),
+    "verify-greedydegree-path:3": (("verify", "--protocol", "greedydegree", "--graph", "path:3"),
+                                   3, "3e88272e7c6ac56f233d079aba887225befb69cc0cc0950472c9476fdfaf9031"),
+    "verify-fixedoutput-path:5": (("verify", "--protocol", "fixedoutput", "--graph", "path:5"),
+                                  3, "eb43ce6cac2181113974b622965bd46f4b326ad41a8aeeb213244fb273f41fac"),
+    "verify-fixedoutput-path:4,cycle:4": (("verify", "--protocol", "fixedoutput", "--impossibility", "path:4,cycle:4"),
+                                          3, "9a5f95f698bdfb024f81809d6c0c208d284aa295bffa30b4d87e8b966f766a7f"),
+    "verify-ranking-path:3-tmax2": (("verify", "--protocol", "ranking", "--graph", "path:3", "--tmax", "2"),
+                                    0, "e6a4be44f1372a2c80fc58a85b3088080529855fcfd4bf5b92b2ebafa1332b76"),
+}
 
 
-@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN_STDOUT_SHA256,
-                         ids=[f"{a[0]}-{a[2]}" for a, _, _ in GOLDEN_STDOUT_SHA256])
+@pytest.mark.parametrize("argv,exit_code,digest", list(GOLDEN_STDOUT_SHA256.values()),
+                         ids=list(GOLDEN_STDOUT_SHA256))
 def test_golden_stdout_digests(capsys, argv, exit_code, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == exit_code
