@@ -101,13 +101,18 @@ class TransitionGraph:
         """The state indices that are the smallest of their orbit under ``group``, ascending."""
         return np.flatnonzero(self.group.min(axis=0) == np.arange(self.agent_state_count))
 
+    @cached_property
+    def place_values(self) -> np.ndarray:
+        """q**a for each agent a, int64: a key is the dot product of its digits with these."""
+        return self.agent_state_count ** np.arange(self.graph.n, dtype=np.int64)
+
+    def digits(self, keys) -> np.ndarray:
+        """(len(keys), n) int64: row k holds every agent's digit of keys[k], agent 0 first."""
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 1)
+        return keys // self.place_values % self.agent_state_count
+
     def decode(self, key: int) -> tuple:
-        q = self.agent_state_count
-        states = []
-        for _ in range(self.graph.n):
-            key, digit = divmod(key, q)
-            states.append(self.states[digit])
-        return tuple(states)
+        return tuple(map(self.states.__getitem__, self.digits(key)[0].tolist()))
 
     def encode(self, states) -> int:
         q = self.agent_state_count
@@ -136,9 +141,6 @@ class TransitionGraph:
         moved = self.deltas[pair_index].take(index)
         moved += keys
         return moved
-
-    def successor(self, key: int, pair_index: int) -> int:
-        return int(self.step_keys(key, pair_index))
 
     @cached_property
     def successors(self) -> np.ndarray:
@@ -532,22 +534,23 @@ def _bottom_components(succ: np.ndarray) -> list[np.ndarray]:
     return [nodes[a:b] for a, b in zip(starts[by_first].tolist(), ends[by_first].tolist())]
 
 
-def final_sets(tg: TransitionGraph) -> list[frozenset[int]]:
+def final_sets(tg: TransitionGraph) -> list[np.ndarray]:
     """Bottom strongly connected components: closed and mutually reachable.
 
-    Returned sets are pairwise disjoint, each closed under every directed
-    pair (exactly the configurations some schedule can trap the system in),
-    and ordered by their smallest key.  The search runs in the forward
-    closure of ``_contracted_image(tg, _matching_image(tg))``: the product
-    of the matched pairs' contracted factors, one agent restricted to the
-    orbit representatives, contracted once more by one pair at a time.  The
-    sets found there and their images under ``tg.group`` are every final
-    set.  The module docstring says why that is exact.
+    Each set is an ascending int64 array of keys.  The sets are pairwise
+    disjoint, each closed under every directed pair (exactly the
+    configurations some schedule can trap the system in), and ordered by
+    their first key.  The search runs in the forward closure of
+    ``_contracted_image(tg, _matching_image(tg))``: the product of the
+    matched pairs' contracted factors, one agent restricted to the orbit
+    representatives, contracted once more by one pair at a time.  The sets
+    found there and their images under ``tg.group`` are every final set.
+    The module docstring says why that is exact.
     """
     return _final_sets_within(tg, _contracted_image(tg, _matching_image(tg)))
 
 
-def _final_sets_within(tg: TransitionGraph, start: np.ndarray) -> list[frozenset[int]]:
+def _final_sets_within(tg: TransitionGraph, start: np.ndarray) -> list[np.ndarray]:
     """``final_sets`` searched in the forward closure of the ascending keys ``start``.
 
     The bottom SCCs found there come with their images under ``tg.group``.
@@ -565,27 +568,27 @@ def _final_sets_within(tg: TransitionGraph, start: np.ndarray) -> list[frozenset
         moved = tg.step_keys(region, e)
         local[e] = moved if whole else np.searchsorted(region, moved)
     components = [region[c] for c in _bottom_components(local)]
-    del local  # the table, freed before the sets are built
+    del local  # the table, freed before the group's images are built
     if len(tg.group) > 1:  # with the identity alone, each set is its only image
         components = _group_images(tg, components)
-    return [frozenset(c.tolist()) for c in components]
+    return components
 
 
 def _group_images(tg: TransitionGraph, components: list[np.ndarray]) -> list[np.ndarray]:
     """Every image of the ascending key arrays ``components`` under ``tg.group``.
 
-    The images are ascending arrays, ordered by smallest key.  Each group element maps digit d of every agent to sigma[d].  It commutes
-    with every pair's map, so the images of final sets are final sets: two
-    are equal or disjoint, and the smallest key names one.
+    The images are ascending arrays, ordered by smallest key.  Each group
+    element maps digit d of every agent to sigma[d].  It commutes with
+    every pair's map, so the images of final sets are final sets: two are
+    equal or disjoint, and the smallest key names one.
     """
-    q = tg.agent_state_count
     by_min = {}
     for keys in components:
         if int(keys[0]) in by_min:  # an image of a set already mapped
             continue
-        digits = [keys // q**a % q for a in range(tg.graph.n)]
+        digits = tg.digits(keys)
         for sigma in tg.group:
-            image = np.sort(sum(sigma[d] * q**a for a, d in enumerate(digits)))
+            image = np.sort(sigma[digits] @ tg.place_values)
             by_min[int(image[0])] = image
     return [by_min[k] for k in sorted(by_min)]
 
@@ -598,8 +601,10 @@ class Witness(NamedTuple):
     reachable interaction sequence ever changes any output, and agent
     ``agent``'s output ``before`` == ``after`` violates the specification) or
     "unsafe_final" (a final configuration fails the safe predicate with
-    constant outputs).  ``engine.replay(protocol, g, w.start, w.pairs,
-    params)`` re-simulates a witness ``w`` on the graph ``g`` it was found for.
+    constant outputs; ``verify_transition_graph`` names the smallest failing
+    key of the first final set that holds one).  ``engine.replay(protocol,
+    g, w.start, w.pairs, params)`` re-simulates a witness ``w`` on the graph
+    ``g`` it was found for.
     """
 
     kind: str
@@ -640,7 +645,7 @@ def _output_change_witness(tg: TransitionGraph, start_key: int):
     while queue:
         key = queue.popleft()
         for e in range(len(pairs)):
-            nxt = tg.successor(key, e)
+            nxt = int(tg.step_keys(key, e))
             if nxt in parent:
                 continue
             parent[nxt] = (key, e)
@@ -684,37 +689,43 @@ def verify_self_stabilizing(
     return verify_transition_graph(tg, final_sets(tg), safe_predicate)
 
 
+def _constant_outputs(tg: TransitionGraph, digits: np.ndarray) -> tuple | None:
+    """The outputs of the configuration in ``digits``' first row, or None when another row's differ.
+
+    ``digits`` is ``tg.digits`` of some keys.  Each agent's distinct
+    digits are looked up once.
+    """
+    output, states = tg.protocol.output, tg.states
+    first = tuple(output(states[d]) for d in digits[0].tolist())
+    for a, ref in enumerate(first):
+        if any(output(states[d]) != ref for d in set(digits[:, a].tolist())):
+            return None
+    return first
+
+
 def verify_transition_graph(tg: TransitionGraph, fsets, safe_predicate: Callable):
     """Final-set criterion on a prebuilt transition graph and its ``final_sets``.
 
-    The sets are checked in the order given, which for ``final_sets`` is by
-    smallest key.  Each set is decoded once into a digit array, one column
-    per agent; its outputs are constant when every distinct digit of each
-    agent's column has the output of that agent's digit in the smallest
-    key.  The safe predicate then sees each configuration, built from
-    ``tg.states``, in the set's iteration order.  Returns True or a Witness.
+    The sets, ascending key arrays, are checked in the order given, which
+    for ``final_sets`` is by first key.  Each set is decoded once
+    (``tg.digits``); its outputs must equal its first key's
+    (``_constant_outputs``), or the witness is the nearest output change
+    from that key.  The safe predicate then sees each configuration, built
+    from ``tg.states``, in ascending key order, so an ``unsafe_final``
+    witness is the smallest failing key of the first set that holds one.
+    Returns True or a Witness.
     """
-    output, state = tg.protocol.output, tg.states.__getitem__
-    q, n = tg.agent_state_count, tg.graph.n
-    for fset in fsets:
-        keys = np.fromiter(fset, dtype=np.int64, count=len(fset))
-        digits = keys[:, None] // q ** np.arange(n, dtype=np.int64) % q
-        ref_key = min(fset)
-        ref_outputs = tuple(map(output, tg.decode(ref_key)))
-        if any(output(state(d)) != ref_outputs[a]
-               for a in range(n) for d in set(digits[:, a].tolist())):
-            return _output_change_witness(tg, ref_key)
+    state = tg.states.__getitem__
+    for keys in fsets:
+        digits = tg.digits(keys)
+        outputs = _constant_outputs(tg, digits)
+        if outputs is None:
+            return _output_change_witness(tg, int(keys[0]))
         for row in digits.tolist():
             states = tuple(map(state, row))
             if not safe_predicate(states):
-                return Witness(
-                    kind="unsafe_final",
-                    start=states,
-                    pairs=(),
-                    agent=None,
-                    before=ref_outputs,
-                    after=ref_outputs,
-                )
+                return Witness(kind="unsafe_final", start=states, pairs=(), agent=None,
+                               before=outputs, after=outputs)
     return True
 
 
@@ -751,32 +762,18 @@ def impossibility_witness(
         raise ValueError("g_sub's edges must be strictly contained in g_super's")
 
     tg = build_transition_graph(protocol, g_super, params, budget)
-
-    start_key = None
-    base_outputs = None
-    for fset in final_sets(tg):
-        ref_key = min(fset)
-        ref_outputs = tg.outputs_of(ref_key)
-        if not check_spec("degree", list(ref_outputs), g_super):
-            continue
-        if all(tg.outputs_of(k) == ref_outputs for k in fset):
-            start_key = ref_key
-            base_outputs = ref_outputs
+    for keys in final_sets(tg):
+        outputs = _constant_outputs(tg, tg.digits(keys))
+        if outputs is not None and check_spec("degree", list(outputs), g_super):
             break
-    if start_key is None:
+    else:
         raise NoSafeConfigOnSuper(
             "no final configuration with constant, degree-correct outputs on the supergraph"
         )
 
-    agent = next(v for v in range(g_sub.n) if base_outputs[v] != g_sub.degree(v))
-    return Witness(
-        kind="frozen_output",
-        start=tg.decode(start_key),
-        pairs=(),
-        agent=agent,
-        before=base_outputs[agent],
-        after=base_outputs[agent],
-    )
+    agent = next(v for v in range(g_sub.n) if outputs[v] != g_sub.degree(v))
+    return Witness(kind="frozen_output", start=tg.decode(keys[0]), pairs=(), agent=agent,
+                   before=outputs[agent], after=outputs[agent])
 
 
 # ---------------------------------------------------------------------------

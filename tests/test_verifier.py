@@ -13,7 +13,7 @@ from poplab.errors import DomainViolation, NoSafeConfigOnSuper, TooLarge
 from poplab.graph import generate_graph, load_edge_list
 from poplab.neighbor import NEIGHBOR
 from poplab.oracles import SafeLevel, check_spec, classify_rank_config, safe_predicate
-from poplab.ranking import RANKING, RED, WHITE, RankState
+from poplab.ranking import BLUE, RANKING, RED, WHITE, RankState
 from poplab.verifier import (
     FIXED_OUTPUT,
     GREEDY_DEGREE,
@@ -84,7 +84,7 @@ def test_successors_match_scalar_step():
         u, v = tg.directed_pairs[e]
         states = list(tg.decode(key))
         states[u], states[v] = RANKING.step(states[u], states[v], params)
-        assert tg.encode(states) == tg.successor(key, e)
+        assert tg.encode(states) == int(tg.step_keys(key, e))
 
 
 @pytest.mark.parametrize("kind, n, tmax", [("complete", 2, 2), ("path", 3, 1), ("star", 3, 1)])
@@ -122,7 +122,7 @@ def test_step_keys_match_the_broadcast_successors(kind, n, tmax):
         assert mapped.dtype == np.int64
         np.testing.assert_array_equal(mapped, tg.successors[e])
         for key in rng.sample(range(tg.config_count), 50):
-            assert tg.successor(key, e) == tg.successors[e, key]
+            assert int(tg.step_keys(key, e)) == tg.successors[e, key]
 
 
 def test_out_of_domain_step_raises():
@@ -227,18 +227,22 @@ def test_graph_params_mismatch():
 
 
 def test_final_sets_disjoint_and_closed():
+    # The contract of final_sets: ascending int64 key arrays, pairwise
+    # disjoint, ordered by first key, each closed under every pair's map.
     g = generate_graph("complete", 2)
     params = ProtocolParams(n=2, tmax=1)
     tg = build_transition_graph(RANKING, g, params)
     fsets = final_sets(tg)
     assert fsets
-    seen = set()
     for fset in fsets:
-        assert not (fset & seen)
-        seen |= fset
-        for key in fset:
-            for e in range(len(tg.successors)):
-                assert tg.successor(key, e) in fset
+        assert isinstance(fset, np.ndarray) and fset.dtype == np.int64 and fset.ndim == 1
+        assert fset.size and np.all(np.diff(fset) > 0)
+        for e in range(len(tg.directed_pairs)):
+            assert np.isin(tg.step_keys(fset, e), fset).all()
+    firsts = [int(f[0]) for f in fsets]
+    assert firsts == sorted(firsts)
+    every = np.concatenate(fsets)
+    assert np.unique(every).size == every.size
 
 
 def test_ranking_final_sets_are_ranked_k2():
@@ -259,7 +263,7 @@ def test_greedy_degree_final_sets_are_absorbing_singletons():
     for fset in fsets:
         assert len(fset) == 1
         key = next(iter(fset))
-        assert all(tg.successor(key, e) == key for e in range(len(tg.successors)))
+        assert all(int(tg.step_keys(key, e)) == key for e in range(len(tg.successors)))
 
 
 @pytest.mark.parametrize("protocol, kind, n, tmax", [
@@ -567,6 +571,30 @@ def test_verify_decodes_each_final_set_once_with_the_same_verdict(protocol, kind
             verify_by_decoding_every_key(tg, fsets, predicate).to_json(protocol))
 
 
+@pytest.mark.parametrize("kind", ["complete", "path"])
+@pytest.mark.parametrize("predicate, position", [
+    # The strict predicate of the test above: the first key already fails.
+    (lambda states: states[0].idA == 0 and states[1].colorA != WHITE, 0),
+    # Passes the first nine keys of the first set and fails the tenth.
+    (lambda states: not (states[0].colorA == BLUE and states[2].colorT == BLUE), 9),
+], ids=["strict", "blue-pair"])
+def test_unsafe_final_witness_is_the_smallest_failing_key_of_the_first_failing_set(kind, predicate,
+                                                                                   position):
+    # The sets are ascending key arrays, checked in order, so no key before
+    # the witness fails: not in an earlier set, not lower in its own.
+    g = generate_graph(kind, 3)
+    tg = build_transition_graph(RANKING, g, ProtocolParams(n=3, tmax=1))
+    fsets = final_sets(tg)
+    verdict = verify_transition_graph(tg, fsets, predicate)
+    assert verdict.kind == "unsafe_final"
+    key = tg.encode(verdict.start)
+    (at,) = [i for i, f in enumerate(fsets) if key in f]
+    assert fsets[at].size > 1
+    assert int(np.searchsorted(fsets[at], key)) == position
+    earlier = np.concatenate([*fsets[:at], fsets[at][fsets[at] < key]])
+    assert all(predicate(tg.decode(k)) for k in earlier.tolist())
+
+
 @pytest.mark.parametrize("protocol, kind, n, tmax", [
     (RANKING, "complete", 2, 1),
     (RANKING, "complete", 2, 2),
@@ -603,7 +631,7 @@ def test_final_sets_match_the_whole_space(protocol, kind, n, tmax):
     if protocol in (FIXED_OUTPUT, SWAP):
         assert sum(map(len, got)) == tg.config_count
     every_key = np.arange(tg.config_count, dtype=tg.successors.dtype)
-    assert _final_sets_within(tg, every_key) == got
+    assert [f.tolist() for f in _final_sets_within(tg, every_key)] == [f.tolist() for f in got]
 
 
 @pytest.mark.parametrize("kind", ["complete", "path"])
@@ -647,7 +675,7 @@ def test_matching_image_is_the_contracted_factor_times_the_unmatched_digits(monk
         final_sets(record)
         monkeypatch.setattr(TransitionGraph, "step_keys", step_keys)
         assert max(sizes) <= start.size
-    assert final_sets(tg) == final_sets(plain)
+    assert [f.tolist() for f in final_sets(tg)] == [f.tolist() for f in final_sets(plain)]
 
 
 def _red_recolor_step(s0, s1, params):
@@ -760,7 +788,7 @@ def test_final_sets_allocate_nothing_the_size_of_the_space():
     assert start.dtype == np.int64
     assert sorted(start.tolist()) == [d * 64**6 for d in range(64)]  # agent 6 is unmatched
     assert tg.step_keys(start, len(tg.directed_pairs) - 1).dtype == np.int64
-    assert final_sets(tg) == [frozenset({0})]
+    assert [f.tolist() for f in final_sets(tg)] == [[0]]
     assert verify_self_stabilizing(TO_ZERO, g, params, lambda states: True, budget=count + 1) is True
     assert "successors" not in tg.__dict__
 
