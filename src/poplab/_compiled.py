@@ -15,14 +15,17 @@ process's first trial does not pay for loading it; ``engine`` cannot import
 it at its top, because this module imports ``ranking``, which imports
 ``engine``.
 
-``CompiledLoop`` draws in C too: each block of pair indices, and, when it is
-handed the Generator instead of a configuration, the start.  C reads the
-Generator's bit generator through the ``bitgen_t`` table numpy exposes
-(``rng.bit_generator.capsule``), holding the bit generator's lock, and gives
-exactly the numbers ``rng.integers`` and ``Protocol.random_states`` give,
-leaving the same generator state.  ``load()`` checks that against this
-numpy before it returns: a mismatch raises OSError, so ``library()`` is
-None and every run takes the Python loop rather than fork the seed stream.
+``CompiledLoop`` seeds and draws in C too: a trial's start and schedule
+streams from its trial seed, or a run's schedule from its int seed, then
+each block of pair indices, and the start, with exactly the states, numbers
+and stream positions numpy's ``default_rng``, ``rng.integers`` and
+``Protocol.random_states`` give.  No numpy Generator is built on that path.
+``check_stream`` compares the seeding and the draws at every branch against
+this numpy; ``stream_checked()`` runs it once per process, before the first
+compiled trial, and ``engine._compiled_loop`` takes the Python loop when it
+failed, rather than fork the seed stream.  ``library()`` itself does not
+check, so ``verifier._pair_tables``, which draws nothing, never pays for it
+and keeps its compiled tables either way.
 """
 
 from __future__ import annotations
@@ -38,12 +41,13 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import neighbor, ranking
-from .engine import _BLOCK
+from .engine import _BLOCK, mix_seed
 
 SOURCE = Path(__file__).with_name("_loop.c")
 PROTOCOLS = {"ranking": ranking.RANKING, "neighbor": neighbor.NEIGHBOR}  # what _loop.c steps
 MAX_AGENTS = 64  # label sets are uint64 masks
 MAX_PARAM = 1 << 62  # keeps 2*m_known + 1 and every timer inside an int64
+CC_FLAGS = ("-O2", "-shared", "-fPIC")
 
 
 def _build() -> Path:
@@ -61,7 +65,7 @@ def _build() -> Path:
 
     try:
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(SOURCE)],
+            [cc, *CC_FLAGS, "-o", str(tmp), str(SOURCE)],
             capture_output=True, text=True, check=False,
         )
         if proc.returncode != 0:
@@ -77,15 +81,56 @@ class Library(NamedTuple):
 
     advance: Any  # poplab_advance
     step_pairs: Any  # poplab_step_pairs
+    seed: Any  # poplab_seed
+    seed_trial: Any  # poplab_seed_trial
     draw: Any  # poplab_draw
     draw_states: Any  # poplab_draw_states
 
 
-# The load-time check of the C draw: one generator, odd runs of draws (so the
-# 32-bit buffer of the bit generator is live from one bound to the next), at
-# bounds that reach every branch of draw_below: 0, 32-bit Lemire, the raw
-# 32-bit word, 64-bit Lemire and the raw 64-bit word.
-_CHECK_SEED = 2019
+STREAM_WORDS = 6  # a stream in C: PCG64's state and inc, high word first, has_uint32, uinteger
+_WORD = (1 << 64) - 1
+
+
+def entropy(seed: int) -> bytes:
+    """``seed``'s 32-bit words, little end first, as numpy's SeedSequence hashes an int.
+
+    One word below 2^32, else as many as the value needs.  A negative seed
+    raises numpy's ValueError.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    return seed.to_bytes(4 * max(1, (seed.bit_length() + 31) // 32), "little")
+
+
+def _seed(lib: Library, data: bytes, index: int | None, at: int) -> None:
+    """Seed the stream at address ``at`` from the ``entropy`` bytes ``data``, as ``stream`` does."""
+    if index is None:
+        lib.seed(data, len(data) // 4, at)
+    else:
+        lib.seed_trial(data, len(data) // 4, index, at)
+
+
+def stream(lib: Library, seed: int, index: int | None = None) -> np.ndarray:
+    """The stream words of ``default_rng(seed)``, or of ``default_rng(mix_seed(seed, index))``, seeded in C."""
+    words = np.empty(STREAM_WORDS, dtype=np.uint64)
+    _seed(lib, entropy(seed), index, words.ctypes.data)
+    return words
+
+
+def numpy_words(rng: np.random.Generator) -> list[int]:
+    """A PCG64 Generator's state as the stream words of ``_loop.c``."""
+    state = rng.bit_generator.state
+    lcg = state["state"]
+    return [lcg["state"] >> 64, lcg["state"] & _WORD, lcg["inc"] >> 64, lcg["inc"] & _WORD,
+            state["has_uint32"], state["uinteger"]]
+
+
+# The stream check.  Seeds of one, two and four entropy words, each plain and
+# at both trial indices; then one stream drawn in odd runs (so the buffered
+# 32-bit half is live from one bound to the next) at bounds that reach every
+# branch of draw_below: 0, 32-bit Lemire, the raw 32-bit word, 64-bit Lemire
+# and the raw 64-bit word.
+_CHECK_SEEDS = (2019, 2**64 - 1, 2**96 + 5)
 _CHECK_BOUNDS = (1, 12, 2**32 - 1, 2**32, 2**33 + 1, 2**64)
 _CHECK_DRAWS = 41
 
@@ -95,53 +140,52 @@ def _reference_draws(rng: np.random.Generator, bound: int, count: int) -> np.nda
     return rng.integers(0, bound, size=count, dtype=np.uint64)
 
 
-# The bitgen_t address of a bit generator, from the capsule numpy gives C code:
-# the address ``bit_generator.ctypes.bit_generator`` holds, without building
-# that ctypes interface, which takes about 10 times as long on a fresh
-# generator, and each trial draws from two.
-_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-_capsule_pointer.restype = ctypes.c_void_p
-
-
-def _draw_with(entry, rng: np.random.Generator, *args) -> None:
-    """Call a C draw entry on ``rng``'s bit generator, holding its lock."""
-    bit_generator = rng.bit_generator
-    with bit_generator.lock:
-        entry(_capsule_pointer(bit_generator.capsule, b"BitGenerator"), *args)
-
-
-def _check_draw(lib: Library) -> None:
-    """Raise OSError unless the C draw gives numpy's numbers and leaves numpy's state."""
-    ours, theirs = np.random.default_rng(_CHECK_SEED), np.random.default_rng(_CHECK_SEED)
+def check_stream(lib: Library) -> None:
+    """Raise OSError unless C seeds numpy's streams, draws its numbers and leaves its state."""
+    for seed in _CHECK_SEEDS:
+        for index in (None, 0, 1):
+            numpy_seed = seed if index is None else mix_seed(seed, index)
+            if stream(lib, seed, index).tolist() != numpy_words(np.random.default_rng(numpy_seed)):
+                raise OSError(f"_loop.c seeds another stream than numpy from seed {seed}, "
+                              f"index {index}")
+    ours, theirs = stream(lib, _CHECK_SEEDS[0]), np.random.default_rng(_CHECK_SEEDS[0])
     out = np.empty(_CHECK_DRAWS, dtype=np.uint64)
     for bound in _CHECK_BOUNDS:
-        _draw_with(lib.draw, ours, bound - 1, len(out), out.ctypes.data)
+        lib.draw(ours.ctypes.data, bound - 1, len(out), out.ctypes.data)
         if not np.array_equal(out, _reference_draws(theirs, bound, len(out))):
             raise OSError(f"_loop.c draws other numbers than numpy below {bound}")
-    if ours.bit_generator.state != theirs.bit_generator.state:
+    if ours.tolist() != numpy_words(theirs):
         raise OSError("_loop.c leaves the generator in another state than numpy")
 
 
-def load() -> Library:
-    """The entries of the built library, its draw checked; raises OSError when unavailable."""
-    lib = ctypes.CDLL(str(_build()))
+def entries(path: Path) -> Library:
+    """The entries of the shared library at ``path``; raises OSError when it cannot be loaded."""
+    lib = ctypes.CDLL(str(path))
+    pointer, int64 = ctypes.c_void_p, ctypes.c_int64
     advance = lib.poplab_advance
-    advance.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
-    advance.restype = ctypes.c_int64
+    advance.argtypes = [pointer] * 7 + [int64, int64, pointer]
+    advance.restype = int64
     step_pairs = lib.poplab_step_pairs
-    step_pairs.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    step_pairs.argtypes = [pointer, pointer, int64]
     step_pairs.restype = None
+    seed = lib.poplab_seed
+    seed.argtypes = [ctypes.c_char_p, int64, pointer]
+    seed.restype = None
+    seed_trial = lib.poplab_seed_trial
+    seed_trial.argtypes = [ctypes.c_char_p, int64, int64, pointer]
+    seed_trial.restype = None
     draw = lib.poplab_draw
-    draw.argtypes = [ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p]
+    draw.argtypes = [pointer, ctypes.c_uint64, int64, pointer]
     draw.restype = None
     draw_states = lib.poplab_draw_states
-    draw_states.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64, ctypes.c_int64,
-                                                    ctypes.c_void_p]
+    draw_states.argtypes = [pointer] * 3 + [int64, int64, pointer]
     draw_states.restype = None
-    entries = Library(advance, step_pairs, draw, draw_states)
-    _check_draw(entries)
-    return entries
+    return Library(advance, step_pairs, seed, seed_trial, draw, draw_states)
+
+
+def load() -> Library:
+    """The entries of the built library; raises OSError when it cannot be built or loaded."""
+    return entries(_build())
 
 
 @functools.cache
@@ -151,6 +195,19 @@ def library() -> Library | None:
         return load()
     except OSError:
         return None
+
+
+@functools.cache
+def stream_checked() -> bool:
+    """Did ``check_stream`` pass on ``library()``?  Checked once per process, on first use."""
+    lib = library()
+    if lib is None:
+        return False
+    try:
+        check_stream(lib)
+    except OSError:
+        return False
+    return True
 
 
 def library_for(protocol, params) -> Library | None:
@@ -176,9 +233,10 @@ def fits(params) -> bool:
     return params.n <= MAX_AGENTS and all(0 <= v < MAX_PARAM for v in _params_row(params))
 
 
-def _header(protocol, n: int, params) -> np.ndarray:
-    """The C header ``cfg``: n, the protocol flag, then the params."""
-    return np.array([n, protocol is PROTOCOLS["neighbor"], *_params_row(params)], dtype=np.int64)
+def _header(protocol, n: int, params, last_pair: int) -> np.ndarray:
+    """The C header ``cfg``: n, the protocol flag, the params, then the largest pair index."""
+    return np.array([n, protocol is PROTOCOLS["neighbor"], *_params_row(params), last_pair],
+                    dtype=np.int64)
 
 
 def step_pairs(lib: Library, protocol, params, rows: np.ndarray) -> None:
@@ -192,7 +250,7 @@ def step_pairs(lib: Library, protocol, params, rows: np.ndarray) -> None:
     if (rows.dtype != np.uint64 or not rows.flags.c_contiguous
             or rows.shape[1:] != (2, len(protocol.fields))):
         raise ValueError("state pairs must be a contiguous uint64 array, (count, 2, fields)")
-    cfg = _header(protocol, params.n, params)  # referenced while C reads it
+    cfg = _header(protocol, params.n, params, 0)  # referenced while C reads it; draws no pairs
     lib.step_pairs(cfg.ctypes.data, rows.ctypes.data, len(rows))
 
 
@@ -204,71 +262,76 @@ class _Setup(NamedTuple):
     lo: np.ndarray  # each field's lowest value, uint64
     top: np.ndarray  # each field's size - 1, uint64
     bounds: tuple  # the addresses of lo and top
-    last_pair: int  # len(directed_pairs) - 1, the bound of a pair index
 
 
 @functools.lru_cache(maxsize=256)
 def _setup(protocol, g, params) -> _Setup:
     protocol.validate_params(params)
-    arrays = (_header(protocol, g.n, params), *g.pair_arrays)
+    arrays = (_header(protocol, g.n, params, len(g.directed_pairs) - 1), *g.pair_arrays)
     lo = np.array([f.lo for f in protocol.fields], dtype=np.uint64)
     top = np.array([f.size(params) - 1 for f in protocol.fields], dtype=np.uint64)
     return _Setup(arrays, tuple(a.ctypes.data for a in arrays), lo, top,
-                  (lo.ctypes.data, top.ctypes.data), len(g.directed_pairs) - 1)
+                  (lo.ctypes.data, top.ctypes.data))
 
 
 class CompiledLoop:
-    """One run's configuration in C memory, advanced one block of pair indices at a time.
+    """One run's configuration and schedule stream in C memory, advanced a block at a time.
 
-    Same interface as ``engine``'s Python loop: ``draw(rng, size)`` gives the
-    next block of pair indices, ``converge(block)`` and ``closure(block)``
-    return (pairs consumed, stopped on the condition), and ``states()`` the
-    configuration as the protocol's NamedTuples.  A row of C memory is one
-    agent's state as ``protocol.flatten`` gives it, in the order of
-    ``protocol.fields``.  ``states`` is the start configuration, or a
-    Generator to draw it from in C, with the numbers
-    ``engine.sample_uniform_config`` would draw; one vectorized domain check
+    Same interface as ``engine``'s Python loop.  ``advance(size, closure,
+    last)`` draws the next ``size`` (at most ``engine._BLOCK``) pair indices
+    and steps through them in one C call, returning (the block, pairs
+    consumed, stopped on the condition); in the run's ``last`` phase it
+    draws none after the stopping step.  ``converge(block)`` and
+    ``closure(block)`` step through a given block instead, and ``states()``
+    is the configuration as the protocol's NamedTuples.  A row of C memory
+    is one agent's state as ``protocol.flatten`` gives it, in the order of
+    ``protocol.fields``.
+
+    Given a ``start`` configuration, the schedule is the stream of
+    ``default_rng(seed)``.  With ``start`` None, ``seed`` is a trial seed:
+    the start is drawn in C from the stream of ``default_rng(mix_seed(seed,
+    0))``, with the numbers ``engine.sample_uniform_config`` draws, and the
+    schedule is that of ``mix_seed(seed, 1)``; one vectorized domain check
     then stands in for ``validate_state`` and raises its DomainViolation.
     """
 
-    def __init__(self, lib: Library, protocol, g, params, states):
+    def __init__(self, lib: Library, protocol, g, params, start, seed: int):
         setup = _setup(protocol, g, params)
         self._setup = setup  # referenced for as long as C reads its arrays
         self._unflatten = protocol.unflatten
         self._advance = lib.advance
-        self._draw = lib.draw
-        if isinstance(states, np.random.Generator):
+        data = entropy(seed)
+        self._stream = np.empty(STREAM_WORDS, dtype=np.uint64)
+        stream_at = self._stream.ctypes.data
+        if start is None:
             self._states = np.empty((params.n, len(setup.lo)), dtype=np.uint64)
             states_at = self._states.ctypes.data
-            _draw_with(lib.draw_states, states, *setup.bounds, len(setup.lo), params.n, states_at)
+            _seed(lib, data, 0, stream_at)
+            lib.draw_states(stream_at, *setup.bounds, len(setup.lo), params.n, states_at)
             outside = (self._states - setup.lo) > setup.top  # below lo wraps around above top
             if outside.any():
                 bad = self._states[outside.any(axis=1)][0]
                 protocol.validate_state(protocol.unflatten(bad.tolist()), params)
+            _seed(lib, data, 1, stream_at)
         else:
-            self._states = np.array([protocol.flatten(s) for s in states], dtype=np.uint64)
+            self._states = np.array([protocol.flatten(s) for s in start], dtype=np.uint64)
             states_at = self._states.ctypes.data
+            _seed(lib, data, None, stream_at)
         self._block = np.empty(_BLOCK, dtype=np.int64)
-        self._block_at = self._block.ctypes.data
-        self._drawn = self._block[:0]  # the latest block draw() gave, a prefix of _block
         self._hit = ctypes.c_int64()
         self._hit_at = ctypes.addressof(self._hit)
         self._args = (*setup.pointers, states_at)
+        self._drawn = (stream_at, self._block.ctypes.data)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The next ``size`` (at most ``engine._BLOCK``) pair indices, drawn in C into a buffer."""
-        block = self._drawn = self._block[:size]
-        _draw_with(self._draw, rng, self._setup.last_pair, len(block), self._block_at)
-        return block
+    def advance(self, size: int, closure: bool, last: bool) -> tuple[np.ndarray, int, bool]:
+        done = self._advance(*self._args, *self._drawn, size, closure + 2 * last, self._hit_at)
+        return self._block, done, bool(self._hit.value)
 
     def _run(self, block: np.ndarray, closure: int) -> tuple[int, bool]:
-        if block is self._drawn:
-            at = self._block_at
-        elif block.dtype != np.int64 or not block.flags.c_contiguous:
+        if block.dtype != np.int64 or not block.flags.c_contiguous:
             raise ValueError("pair indices must be a contiguous int64 array")
-        else:
-            at = block.ctypes.data
-        done = self._advance(*self._args, at, len(block), closure, self._hit_at)
+        done = self._advance(*self._args, None, block.ctypes.data, len(block), closure,
+                             self._hit_at)
         return done, bool(self._hit.value)
 
     def converge(self, block: np.ndarray) -> tuple[int, bool]:

@@ -1,32 +1,46 @@
 /* The inner loop of engine.run_until for the ranking and neighbor protocols,
- * the uniform draws that feed it, and the two-agent step that
+ * the seeding and uniform draws that feed it, and the two-agent step that
  * verifier._pair_tables tabulates.
  *
- * poplab_draw fills a block of pair indices and poplab_draw_states a start
- * configuration from a numpy Generator's bit generator, with exactly the
- * numbers numpy gives: draw_below is numpy's random_bounded_uint64 (Lemire's
- * method, with its raw 32-bit and 64-bit branches), called through the
- * bitgen_t function table numpy exposes, so the Generator's stream and state
- * move as they would under rng.integers.  poplab_draw is
- * rng.integers(0, size, size=count); poplab_draw_states draws agent by agent
- * and field by field, as Protocol.random_states consumes the stream on both
- * of its paths.  Under _compiled.fits a field has at most 2^63 values, which
- * both paths draw as draw_below does, or exactly 2^64 (a label set at
- * n = 64), for which engine.random_below takes one raw 64-bit word, as
- * draw_below does.  _compiled.load checks draw_below against numpy before the
- * library is used.
+ * A compiled trial seeds and draws here, with exactly the numbers numpy
+ * gives, so its seed streams are numpy's.  A stream is numpy's PCG64 bit
+ * generator in six words: the 128-bit LCG state and increment, each high
+ * word first, then next32's has_uint32 flag and its buffered upper half,
+ * uinteger (PCG64 XSL-RR 128/64, O'Neill 2014, as numpy implements it).
+ * seed_pool and generate_state are numpy's SeedSequence (after O'Neill's
+ * seed_seq): a pool of four 32-bit words hashed from the entropy's
+ * little-endian 32-bit words, from which the PCG64 seed and increment are
+ * generated.  poplab_seed gives the stream of np.random.default_rng(seed),
+ * poplab_seed_trial that of default_rng(engine.mix_seed(seed, index)); the
+ * seed arrives as the little-endian bytes of its words, as _compiled.entropy
+ * gives them.  draw_below is numpy's random_bounded_uint64 with offset 0:
+ * Lemire's rejection ("Fast Random Integer Generation in an Interval", 2019)
+ * with its raw 32-bit and 64-bit branches, so a draw moves the stream as
+ * rng.integers does.  poplab_draw is rng.integers(0, size, size=count);
+ * poplab_draw_states draws agent by agent and field by field, as
+ * Protocol.random_states consumes the stream on both of its paths.  Under
+ * _compiled.fits a field has at most 2^63 values, which both paths draw as
+ * draw_below does, or exactly 2^64 (a label set at n = 64), for which
+ * engine.random_below takes one raw 64-bit word, as draw_below does.
+ * _compiled.check_stream checks the seeding and every branch of draw_below
+ * against numpy before the first compiled trial of a process.
  *
  * poplab_advance applies the scheduled pairs of one block of pair indices to
  * the configuration in place and stops at the first step after which the
  * stop condition holds: in the convergence phase the safe predicate (RANKED
  * for ranking, neighbor_safe for neighbor), in the closure phase a change of
  * either endpoint's output.  It returns the number of pairs consumed and sets
- * *hit when it stopped on the condition.  Both phases are one always-inline
- * body with the protocol as a compile-time constant, instantiated once per
- * protocol.  The Python modules ranking.step, neighbor.step,
- * oracles.classify_rank_config and oracles.neighbor_safe are the reference;
- * this file mirrors them line for line and engine.run_until confirms its
- * verdicts with the Python predicate.
+ * *hit when it stopped on the condition.  Handed a stream, it draws each
+ * pair index of the block as it reaches it; handed none, it reads the block
+ * it is given.  In the run's last phase (LAST) it draws nothing after the
+ * step it stops at, since nothing reads the stream after it; otherwise it
+ * draws the rest of the block too, so that the next phase's stream starts
+ * where rng.integers(0, size, size=len) leaves numpy's.  Both phases are one
+ * always-inline body with the protocol as a compile-time constant,
+ * instantiated once per protocol.  The Python modules ranking.step,
+ * neighbor.step, oracles.classify_rank_config and oracles.neighbor_safe are
+ * the reference; this file mirrors them line for line and engine.run_until
+ * confirms its verdicts with the Python predicate.
  *
  * The convergence phase (converge) keeps a census of the token labels and one
  * of the agent labels: how many agents hold each label, and how many labels
@@ -48,7 +62,8 @@
  * of the protocol's declared field table (ranking.FIELDS, RANK_FIELDS wide,
  * or neighbor.FIELDS, NEIGHBOR_FIELDS wide, which starts with the rank
  * fields), as the module's flatten gives them; label sets are bitmasks, so
- * n <= 64.  cfg holds n, the protocol, tmax, pmax, emax and m_known.
+ * n <= 64.  cfg holds n, the protocol, tmax, pmax, emax, m_known and the
+ * largest pair index.
  */
 
 #include <stdint.h>
@@ -56,73 +71,237 @@
 enum { IDA, IDT, COLORA, COLORT, TIMERT, DEGREET, DSUM, RESETE, TIMERP, NEIGHBORS, COUNTED };
 enum { RANK_FIELDS = 5, NEIGHBOR_FIELDS = 11 };
 enum { WHITE = 0, RED = 1, BLUE = 2 };
-enum { CFG_N, CFG_NEIGHBOR, CFG_TMAX, CFG_PMAX, CFG_EMAX, CFG_M_KNOWN };
+enum { CFG_N, CFG_NEIGHBOR, CFG_TMAX, CFG_PMAX, CFG_EMAX, CFG_M_KNOWN, CFG_LAST_PAIR };
+enum { CLOSURE = 1, LAST = 2 }; /* poplab_advance's phase flags */
 
 typedef uint64_t u64;
+typedef __uint128_t u128;
 
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
-/* numpy's bit generator interface, as numpy/random/bitgen.h declares it. */
-typedef struct bitgen {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
+/* PCG64 as numpy keeps it: the LCG, then next32's buffered upper half. */
+typedef struct {
+    u128 state, inc;
+    u64 has_uint32, uinteger;
+} pcg64;
+
+#define PCG_MULTIPLIER (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+/* A stream's six words: state and inc high word first, has_uint32, uinteger. */
+static inline pcg64 pcg_load(const u64 *w)
+{
+    pcg64 r = {(u128)w[0] << 64 | w[1], (u128)w[2] << 64 | w[3], w[4], w[5]};
+    return r;
+}
+
+static inline void pcg_store(const pcg64 *r, u64 *w)
+{
+    w[0] = (u64)(r->state >> 64);
+    w[1] = (u64)r->state;
+    w[2] = (u64)(r->inc >> 64);
+    w[3] = (u64)r->inc;
+    w[4] = r->has_uint32;
+    w[5] = r->uinteger;
+}
+
+/* Step the LCG, then the XSL-RR output of the new state. */
+static inline u64 next64(pcg64 *r)
+{
+    r->state = r->state * PCG_MULTIPLIER + r->inc;
+    u64 x = (u64)(r->state >> 64) ^ (u64)r->state;
+    unsigned rot = (unsigned)(r->state >> 122);
+    return (x >> rot) | (x << (-rot & 63));
+}
+
+/* The low half of a fresh 64-bit output, its high half kept for the next call. */
+static inline uint32_t next32(pcg64 *r)
+{
+    if (r->has_uint32) {
+        r->has_uint32 = 0;
+        return (uint32_t)r->uinteger;
+    }
+    u64 next = next64(r);
+    r->has_uint32 = 1;
+    r->uinteger = next >> 32;
+    return (uint32_t)next;
+}
+
+/* numpy's SeedSequence constants. */
+#define INIT_A 0x43b0d7e5U
+#define MULT_A 0x931e8875U
+#define INIT_B 0x8b51f9ddU
+#define MULT_B 0x58f38dedU
+#define MIX_MULT_L 0xca01f9ddU
+#define MIX_MULT_R 0x4973f715U
+enum { POOL = 4 };
+
+/* SeedSequence's entropy: the seed's words, then up to two more, as the
+ * tuple (seed, index) of engine.mix_seed appends the index's. */
+typedef struct {
+    const unsigned char *seed; /* seed_words little-endian 32-bit words */
+    int64_t seed_words;
+    uint32_t tail[2];
+    int64_t tail_words;
+} entropy;
+
+static uint32_t entropy_word(const entropy *e, int64_t k)
+{
+    if (k >= e->seed_words)
+        return e->tail[k - e->seed_words];
+    const unsigned char *b = e->seed + 4 * k;
+    return (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+}
+
+/* The words numpy coerces a non-negative int below 2^64 to: one below 2^32, else two. */
+static void set_tail(entropy *e, u64 value)
+{
+    e->tail[0] = (uint32_t)value;
+    e->tail[1] = (uint32_t)(value >> 32);
+    e->tail_words = value >> 32 ? 2 : 1;
+}
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= MULT_A;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ result >> 16;
+}
+
+/* SeedSequence.mix_entropy: the pool of the entropy's words. */
+static void seed_pool(const entropy *e, uint32_t pool[POOL])
+{
+    int64_t len = e->seed_words + e->tail_words;
+    uint32_t hash_const = INIT_A;
+    for (int64_t i = 0; i < POOL; i++)
+        pool[i] = hashmix(i < len ? entropy_word(e, i) : 0, &hash_const);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
+    for (int64_t src = POOL; src < len; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy_word(e, src), &hash_const));
+}
+
+/* SeedSequence.generate_state(count, np.uint64): 32-bit words cycling over
+ * the pool, paired little end first. */
+static void generate_state(const uint32_t pool[POOL], u64 *out, int count)
+{
+    uint32_t hash_const = INIT_B;
+    for (int i = 0; i < 2 * count; i++) {
+        uint32_t value = pool[i % POOL] ^ hash_const;
+        hash_const *= MULT_B;
+        value *= hash_const;
+        value ^= value >> 16;
+        if (i % 2)
+            out[i / 2] |= (u64)value << 32;
+        else
+            out[i / 2] = value;
+    }
+}
+
+/* The stream of PCG64(SeedSequence(entropy)): pcg64_set_seed on four
+ * generated words (seed high, seed low, increment high, increment low), then
+ * numpy's srandom: inc = 2 * increment + 1, one step from 0, add the seed,
+ * one more step; the 32-bit buffer starts empty. */
+static void pcg_seed(const entropy *e, u64 *out)
+{
+    uint32_t pool[POOL];
+    u64 words[4];
+    seed_pool(e, pool);
+    generate_state(pool, words, 4);
+    pcg64 r = {0, ((u128)words[2] << 64 | words[3]) << 1 | 1, 0, 0};
+    r.state = r.state * PCG_MULTIPLIER + r.inc;
+    r.state += (u128)words[0] << 64 | words[1];
+    r.state = r.state * PCG_MULTIPLIER + r.inc;
+    pcg_store(&r, out);
+}
+
+/* out = the stream of np.random.default_rng(seed), the seed in seed_words words. */
+void poplab_seed(const unsigned char *seed, int64_t seed_words, u64 *out)
+{
+    entropy e = {seed, seed_words, {0, 0}, 0};
+    pcg_seed(&e, out);
+}
+
+/* out = the stream of np.random.default_rng(engine.mix_seed(seed, index)):
+ * one 64-bit word generated from the entropy (seed, index) seeds the stream. */
+void poplab_seed_trial(const unsigned char *seed, int64_t seed_words, int64_t index, u64 *out)
+{
+    entropy e = {seed, seed_words, {0, 0}, 0};
+    set_tail(&e, (u64)index);
+    uint32_t pool[POOL];
+    u64 mixed;
+    seed_pool(&e, pool);
+    generate_state(pool, &mixed, 1);
+    entropy plain = {0, 0, {0, 0}, 0};
+    set_tail(&plain, mixed);
+    pcg_seed(&plain, out);
+}
 
 /* A uniform draw from 0..rng, as numpy's random_bounded_uint64 with offset 0
  * and Lemire's rejection (use_masked false) gives it. */
-static inline u64 draw_below(bitgen_t *bg, u64 rng)
+static inline u64 draw_below(pcg64 *r, u64 rng)
 {
     if (rng == 0)
         return 0;
     if (rng < UINT32_MAX) {
         uint32_t excl = (uint32_t)rng + 1;
-        uint64_t m = (uint64_t)bg->next_uint32(bg->state) * excl;
+        uint64_t m = (uint64_t)next32(r) * excl;
         uint32_t leftover = (uint32_t)m;
         if (leftover < excl) {
             uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % excl;
             while (leftover < threshold) {
-                m = (uint64_t)bg->next_uint32(bg->state) * excl;
+                m = (uint64_t)next32(r) * excl;
                 leftover = (uint32_t)m;
             }
         }
         return m >> 32;
     }
     if (rng == UINT32_MAX)
-        return bg->next_uint32(bg->state);
+        return next32(r);
     if (rng < UINT64_MAX) {
         u64 excl = rng + 1;
-        __uint128_t m = (__uint128_t)bg->next_uint64(bg->state) * excl;
+        u128 m = (u128)next64(r) * excl;
         u64 leftover = (u64)m;
         if (leftover < excl) {
             u64 threshold = (UINT64_MAX - rng) % excl;
             while (leftover < threshold) {
-                m = (__uint128_t)bg->next_uint64(bg->state) * excl;
+                m = (u128)next64(r) * excl;
                 leftover = (u64)m;
             }
         }
         return (u64)(m >> 64);
     }
-    return bg->next_uint64(bg->state);
+    return next64(r);
 }
 
-/* out[i] = draw_below(bg, rng) for i < count. */
-void poplab_draw(bitgen_t *bg, u64 rng, int64_t count, u64 *out)
+/* out[i] = draw_below(stream, rng) for i < count. */
+void poplab_draw(u64 *stream, u64 rng, int64_t count, u64 *out)
 {
+    pcg64 r = pcg_load(stream);
     for (int64_t i = 0; i < count; i++)
-        out[i] = draw_below(bg, rng);
+        out[i] = draw_below(&r, rng);
+    pcg_store(&r, stream);
 }
 
 /* count rows of fields values, row-major: field f of a row is lo[f] plus a
  * uniform draw from 0..rng[f]. */
-void poplab_draw_states(bitgen_t *bg, const u64 *lo, const u64 *rng, int64_t fields,
+void poplab_draw_states(u64 *stream, const u64 *lo, const u64 *rng, int64_t fields,
                         int64_t count, u64 *out)
 {
+    pcg64 r = pcg_load(stream);
     for (int64_t i = 0; i < count; i++)
         for (int64_t f = 0; f < fields; f++)
-            *out++ = lo[f] + draw_below(bg, rng[f]);
+            *out++ = lo[f] + draw_below(&r, rng[f]);
+    pcg_store(&r, stream);
 }
 
 /* The agent side of a ranking step: agent a now hosts the token (idT, cT, tT). */
@@ -312,13 +491,23 @@ ALWAYS_INLINE void step(u64 *restrict a0, u64 *restrict a1, const int64_t *cfg, 
         rank_step(a0, a1, n, tmax);
 }
 
+/* Pair index i of the block: drawn into it from the stream, or read from it. */
+ALWAYS_INLINE int64_t pair_index(int64_t *block, int64_t i, pcg64 *rng, int draws,
+                                 const int64_t *cfg)
+{
+    if (draws)
+        block[i] = (int64_t)draw_below(rng, (u64)cfg[CFG_LAST_PAIR]);
+    return block[i];
+}
+
 /* The convergence phase: step until the safe predicate holds.  RANKED (and so
  * neighbor_safe) needs the token labels and the agent labels each to be all
  * n labels, and neighbor_safe needs no live reset, so the O(n) predicate runs
  * only when both censuses count n and, for neighbor, live is 0. */
 ALWAYS_INLINE int64_t converge(const int64_t *cfg, const int64_t *pairs,
                                const int64_t *adj_start, const int64_t *adj, u64 *states,
-                               const int64_t *block, int64_t len, int64_t *hit, int neighbor)
+                               pcg64 *rng, int draws, int64_t *block, int64_t len, int64_t *hit,
+                               int neighbor)
 {
     int64_t n = cfg[CFG_N];
     u64 tmax = (u64)cfg[CFG_TMAX];
@@ -332,8 +521,9 @@ ALWAYS_INLINE int64_t converge(const int64_t *cfg, const int64_t *pairs,
             live += states[v * stride + RESETE] != 0;
     *hit = 1;
     for (int64_t i = 0; i < len; i++) {
-        u64 *restrict a0 = states + pairs[2 * block[i]] * stride;
-        u64 *restrict a1 = states + pairs[2 * block[i] + 1] * stride;
+        int64_t e = pair_index(block, i, rng, draws, cfg);
+        u64 *restrict a0 = states + pairs[2 * e] * stride;
+        u64 *restrict a1 = states + pairs[2 * e + 1] * stride;
         u64 t0 = a0[IDT], l0 = a0[IDA], l1 = a1[IDA];
         int64_t live_before = neighbor ? (a0[RESETE] != 0) + (a1[RESETE] != 0) : 0;
         step(a0, a1, cfg, (u64)n, tmax, neighbor);
@@ -353,15 +543,16 @@ ALWAYS_INLINE int64_t converge(const int64_t *cfg, const int64_t *pairs,
 }
 
 /* The closure phase: step until an endpoint's output changes. */
-ALWAYS_INLINE int64_t closure(const int64_t *cfg, const int64_t *pairs, u64 *states,
-                              const int64_t *block, int64_t len, int64_t *hit, int neighbor)
+ALWAYS_INLINE int64_t closure(const int64_t *cfg, const int64_t *pairs, u64 *states, pcg64 *rng,
+                              int draws, int64_t *block, int64_t len, int64_t *hit, int neighbor)
 {
     u64 n = (u64)cfg[CFG_N], tmax = (u64)cfg[CFG_TMAX];
     int64_t stride = neighbor ? NEIGHBOR_FIELDS : RANK_FIELDS;
     *hit = 1;
     for (int64_t i = 0; i < len; i++) {
-        u64 *restrict a0 = states + pairs[2 * block[i]] * stride;
-        u64 *restrict a1 = states + pairs[2 * block[i] + 1] * stride;
+        int64_t e = pair_index(block, i, rng, draws, cfg);
+        u64 *restrict a0 = states + pairs[2 * e] * stride;
+        u64 *restrict a1 = states + pairs[2 * e + 1] * stride;
         u64 o0 = a0[IDA], o1 = a1[IDA];
         u64 nb0 = neighbor ? a0[NEIGHBORS] : 0, nb1 = neighbor ? a1[NEIGHBORS] : 0;
         step(a0, a1, cfg, n, tmax, neighbor);
@@ -374,15 +565,32 @@ ALWAYS_INLINE int64_t closure(const int64_t *cfg, const int64_t *pairs, u64 *sta
     return len;
 }
 
+/* One block of len pairs, its indices drawn from stream or, when stream is
+ * null, read from block; phase holds CLOSURE and LAST. */
 int64_t poplab_advance(const int64_t *cfg, const int64_t *pairs, const int64_t *adj_start,
-                       const int64_t *adj, u64 *states, const int64_t *block, int64_t len,
-                       int64_t closure_phase, int64_t *hit)
+                       const int64_t *adj, u64 *states, u64 *stream, int64_t *block, int64_t len,
+                       int64_t phase, int64_t *hit)
 {
+    int draws = stream != 0;
+    pcg64 r = {0, 0, 0, 0};
+    if (draws)
+        r = pcg_load(stream);
+    int64_t done;
     if (cfg[CFG_NEIGHBOR])
-        return closure_phase ? closure(cfg, pairs, states, block, len, hit, 1)
-                             : converge(cfg, pairs, adj_start, adj, states, block, len, hit, 1);
-    return closure_phase ? closure(cfg, pairs, states, block, len, hit, 0)
-                         : converge(cfg, pairs, adj_start, adj, states, block, len, hit, 0);
+        done = phase & CLOSURE
+                   ? closure(cfg, pairs, states, &r, draws, block, len, hit, 1)
+                   : converge(cfg, pairs, adj_start, adj, states, &r, draws, block, len, hit, 1);
+    else
+        done = phase & CLOSURE
+                   ? closure(cfg, pairs, states, &r, draws, block, len, hit, 0)
+                   : converge(cfg, pairs, adj_start, adj, states, &r, draws, block, len, hit, 0);
+    if (draws) {
+        if (!(phase & LAST))
+            for (int64_t i = done; i < len; i++)
+                block[i] = (int64_t)draw_below(&r, (u64)cfg[CFG_LAST_PAIR]);
+        pcg_store(&r, stream);
+    }
+    return done;
 }
 
 void poplab_step_pairs(const int64_t *cfg, u64 *rows, int64_t count)

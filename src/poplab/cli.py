@@ -249,7 +249,7 @@ def _verify(args) -> int:
         "graph": args.graph,
         "configurations": tg.config_count,
         "final_sets": len(fsets),
-        "final_configurations": sum(len(f) for f in fsets),
+        "final_configurations": sum(map(len, fsets)),
         "verified": verdict is True,
     }
     if verdict is True:

@@ -15,39 +15,50 @@ seeds are split from a master seed with a documented mixing function so
 sweeps stay reproducible and embarrassingly parallel.
 
 The schedule is set in one place, ``_draw_and_advance``: it sizes blocks
-of at most ``_BLOCK`` pair indices, takes each from the step loop's
-``draw`` and hands it to the loop, which reports how many pairs it consumed
-before the stop condition (safety, or an output change in the closure
-window).  The Python loop draws a block with ``rng.integers``; the compiled
-loop draws the same numbers in C (see ``_compiled``), so the seed stream,
-the record, ``final_states`` and the trace do not depend on the loop.
-``run_until`` calls it once for convergence and once for the closure
-window.  ``replay`` applies a given pair sequence, such as a recorded trace
-or a verifier witness, through ``checked_step``.
+of at most ``_BLOCK`` pair indices and hands each size to the step loop's
+``advance``, which draws that block from the run's schedule stream and
+reports how many pairs it consumed before the stop condition (safety, or an
+output change in the closure window).  The Python loop draws a block with
+``rng.integers`` on ``default_rng(seed)``; the compiled loop seeds the same
+stream and draws the same numbers in C, in the same call that steps them
+(see ``_compiled``), so the seed stream, the record, ``final_states`` and
+the trace do not depend on the loop.  ``run_until`` calls it once for
+convergence and once for the closure window.  The closure window, or
+convergence when the window is 0, is the run's last phase: nothing reads
+the stream after it, so the compiled loop draws nothing after its stopping
+step there, while a phase that another follows draws its last block whole,
+where the next phase's stream starts.  ``replay`` applies a given pair
+sequence, such as a recorded trace or a verifier witness, through
+``checked_step``.
 
 ``_compiled_loop`` is the one dispatch rule: the compiled loop (``_loop.c``,
-built on first use; see ``_compiled``) runs only when the predicate carries
-the ``safe_for`` mark that ``oracles.rank_safe_predicate`` and
-``oracles.neighbor_safe_predicate`` attach, built for this protocol, graph
-and n, and ``_compiled.library_for`` answers that ``_loop.c`` steps the
-record: the protocol is ``RANKING`` or ``NEIGHBOR``, n <= 64 with every
-param inside its C field, and the library loaded.  ``verifier._pair_tables``
-asks ``library_for`` the same question.  Everything else (custom or wrapped
-predicates, proxies, n >= 65, no C compiler) runs the Python loop, which is
-the reference.  On the compiled path the Python predicate confirms what C
-claims: it must reject the configuration where an unconverged run stopped,
-and accept the one at ``steps_to_safe`` and the final one (the safe set is
-closed); a disagreement raises RuntimeError.  The compiled convergence loop
-runs its O(n) predicate only after steps that leave every token label and
-every agent label held by exactly one agent, which RANKED requires, so the
-step it stops at is the Python loop's; ``_loop.c``'s header says how.
+built on first use; see ``_compiled``) runs only when the seed is an int,
+the predicate carries the ``safe_for`` mark that
+``oracles.rank_safe_predicate`` and ``oracles.neighbor_safe_predicate``
+attach, built for this protocol, graph and n, ``_compiled.library_for``
+answers that ``_loop.c`` steps the record (the protocol is ``RANKING`` or
+``NEIGHBOR``, n <= 64 with every param inside its C field, and the library
+loaded) and the library's seeding and draws passed the stream check against
+numpy, which runs once per process before the first compiled trial.
+``verifier._pair_tables`` asks ``library_for`` the same question, without
+the stream check, since it draws nothing.  Everything else (other seeds,
+custom or wrapped predicates, proxies, n >= 65, no C compiler) runs the
+Python loop, which is the reference.  On the compiled path the Python
+predicate confirms what C claims: it must reject the configuration where an
+unconverged run stopped, and accept the one at ``steps_to_safe`` and the
+final one (the safe set is closed); a disagreement raises RuntimeError.  The
+compiled convergence loop runs its O(n) predicate only after steps that
+leave every token label and every agent label held by exactly one agent,
+which RANKED requires, so the step it stops at is the Python loop's;
+``_loop.c``'s header says how.
 
 ``sample_uniform_config`` draws a start configuration with one
 ``rng.integers`` call over the field sizes, which gives the numbers of one
 ``random_below`` per field in turn; ``Protocol``'s docstring says when and
 why.  ``run_trial`` calls it on the Python path only: on the compiled path
-the loop draws the same start in C, agent by agent and field by field, and
-checks it against the field table in one vectorized pass.
+the loop seeds the start stream from the trial seed and draws the same start
+in C, agent by agent and field by field, and checks it against the field
+table in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -336,24 +347,29 @@ def sample_uniform_config(protocol, params, seed) -> tuple:
 class _PythonLoop:
     """The reference step loop: ``rng.integers``, ``protocol.step`` and the predicate, in Python.
 
-    ``draw(rng, size)`` is the next block of ``size`` pair indices,
-    ``rng.integers(0, len(pairs), size=size)``.  ``converge(block)`` steps
+    ``advance(size, closure, last)`` draws the next block of ``size`` pair
+    indices, ``rng.integers(0, len(pairs), size=size)`` on
+    ``default_rng(seed)``, and hands it to ``closure`` or ``converge``; it
+    returns (the block, pairs consumed, stopped on the condition) and draws
+    every block whole, ``last`` phase or not.  ``converge(block)`` steps
     through a block of pair indices until the safe predicate holds,
     ``closure(block)`` until an output differs from the one the agent had
     when the closure window began; both return (pairs consumed, stopped on
     the condition).  ``states()`` is the configuration.
     """
 
-    def __init__(self, protocol, pairs, c0, params, safe_predicate):
+    def __init__(self, protocol, pairs, c0, params, safe_predicate, seed):
         self._protocol = protocol
         self._pairs = pairs
         self._states = list(c0)
         self._params = params
         self._safe = safe_predicate
         self._outputs = None
+        self._rng = np.random.default_rng(seed)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.integers(0, len(self._pairs), size=size)
+    def advance(self, size: int, closure: bool, last: bool) -> tuple[np.ndarray, int, bool]:
+        block = self._rng.integers(0, len(self._pairs), size=size)
+        return block, *(self.closure(block) if closure else self.converge(block))
 
     def converge(self, block: np.ndarray) -> tuple[int, bool]:
         pairs, states, params, step, safe = (
@@ -390,19 +406,21 @@ class _PythonLoop:
         return self._states
 
 
-def _compiled_loop(protocol, g: Graph, params, start, safe_predicate):
+def _compiled_loop(protocol, g: Graph, params, start, seed, safe_predicate):
     """The one dispatch rule: the compiled loop for this run, or None for the Python loop.
 
-    Compiled only when the predicate carries the ``safe_for`` mark of the
-    protocol's oracle factory built for this graph and n, the graph has n
-    agents, and ``_compiled.library_for`` returns the library: the protocol
-    is ``RANKING`` or ``NEIGHBOR``, n <= 64 with every param inside its C
-    field, and the library loaded.  ``start`` is the start configuration,
-    or the Generator that ``sample_uniform_config`` would draw it from,
-    which the compiled loop then draws from in C.
+    Compiled only when the seed is an int, the predicate carries the
+    ``safe_for`` mark of the protocol's oracle factory built for this graph
+    and n, the graph has n agents, ``_compiled.library_for`` returns the
+    library (the protocol is ``RANKING`` or ``NEIGHBOR``, n <= 64 with every
+    param inside its C field, and the library loaded) and its seeding and
+    draws passed ``_compiled.stream_checked``.  ``start`` is the start
+    configuration, scheduled from ``default_rng(seed)``, or None for a
+    trial, whose start and schedule the compiled loop seeds and draws in C
+    from the trial seed ``seed`` (see ``run_trial``).
     """
     safe_for = getattr(safe_predicate, "safe_for", None)
-    if safe_for is None or g.n != params.n:
+    if safe_for is None or g.n != params.n or not isinstance(seed, int):
         return None
     from . import _compiled  # not at the top: _compiled imports ranking, which imports engine
 
@@ -410,9 +428,9 @@ def _compiled_loop(protocol, g: Graph, params, start, safe_predicate):
     if name != protocol.name or pred_params.n != params.n or (pred_g is not None and pred_g != g):
         return None
     lib = _compiled.library_for(protocol, params)
-    if lib is None:
+    if lib is None or not _compiled.stream_checked():
         return None
-    return _compiled.CompiledLoop(lib, protocol, g, params, start)
+    return _compiled.CompiledLoop(lib, protocol, g, params, start, seed)
 
 
 def _confirm(safe_predicate, states, safe: bool, step: int) -> None:
@@ -424,18 +442,20 @@ def _confirm(safe_predicate, states, safe: bool, step: int) -> None:
         )
 
 
-def _draw_and_advance(rng, pairs, budget: int, loop, advance, trace) -> tuple[int, bool]:
-    """The scheduler: uniform pair indices in blocks of at most ``_BLOCK``, fed to ``advance``.
+def _draw_and_advance(loop, closure: bool, last: bool, pairs, budget: int,
+                      trace) -> tuple[int, bool]:
+    """The scheduler: uniform pair indices in blocks of at most ``_BLOCK``, each drawn and stepped.
 
-    Each block comes from ``loop.draw``; ``advance`` is the loop's
-    ``converge`` or ``closure``.  Stops once it reports its condition or
-    ``budget`` pairs are consumed; the consumed pairs extend ``trace``
-    unless it is None.  Returns (pairs consumed, stopped on the condition).
+    Each block goes through ``loop.advance`` in the closure phase or the
+    convergence phase; ``last`` says that no phase follows, so the loop may
+    leave the rest of the block undrawn once it stops.  Stops once the loop
+    reports its condition or ``budget`` pairs are consumed; the consumed
+    pairs extend ``trace`` unless it is None.  Returns (pairs consumed,
+    stopped on the condition).
     """
     done = 0
     while done < budget:
-        block = loop.draw(rng, min(_BLOCK, budget - done))
-        consumed, stopped = advance(block)
+        block, consumed, stopped = loop.advance(min(_BLOCK, budget - done), closure, last)
         done += consumed
         if trace is not None:
             trace.extend(pairs[i] for i in block[:consumed].tolist())
@@ -473,25 +493,27 @@ def run_until(
         raise DomainViolation(f"configuration/graph/params sizes disagree: {len(c0)}, {g.n}, {params.n}")
     for s in c0:
         protocol.validate_state(s, params)
-    loop = _compiled_loop(protocol, g, params, c0, safe_predicate)
+    loop = _compiled_loop(protocol, g, params, c0, seed, safe_predicate)
     compiled = loop is not None
     if loop is None:
-        loop = _PythonLoop(protocol, g.directed_pairs, c0, params, safe_predicate)
+        loop = _PythonLoop(protocol, g.directed_pairs, c0, params, safe_predicate, seed)
     return _run(loop, compiled, protocol, g, params, seed, max_steps, safe_predicate,
                 closure_window, record_trace)
 
 
 def _run(loop, compiled: bool, protocol, g: Graph, params, seed: int, max_steps: int,
          safe_predicate: Callable, closure_window: int, record_trace: bool) -> RunResult:
-    """``run_until`` on a loop that holds its checked start configuration."""
-    rng = np.random.default_rng(seed)
+    """``run_until`` on a loop that holds its checked start configuration and its schedule.
+
+    The convergence phase is the run's last when no closure window follows.
+    """
     pairs = g.directed_pairs
     trace = [] if record_trace else None
 
     steps = 0
     steps_to_safe = 0 if safe_predicate(list(loop.states())) else None
     if steps_to_safe is None:
-        steps, safe = _draw_and_advance(rng, pairs, max_steps, loop, loop.converge, trace)
+        steps, safe = _draw_and_advance(loop, False, closure_window < 1, pairs, max_steps, trace)
         if safe:
             steps_to_safe = steps
     states = loop.states()
@@ -501,7 +523,7 @@ def _run(loop, compiled: bool, protocol, g: Graph, params, seed: int, max_steps:
     closure_ok = None
     window = 0
     if steps_to_safe is not None:
-        window, changed = _draw_and_advance(rng, pairs, closure_window, loop, loop.closure, trace)
+        window, changed = _draw_and_advance(loop, True, True, pairs, closure_window, trace)
         closure_ok = not changed
     if window:
         states = loop.states()
@@ -540,22 +562,24 @@ def run_trial(
 
     The initial configuration and the scheduler use independent streams
     mixed from ``trial_seed`` (indices 0 and 1); the result records
-    ``trial_seed`` itself, so a record is reproducible from its seed alone.
-    On the compiled path the loop draws the start in C from the first
-    stream, with the numbers ``sample_uniform_config`` draws, and checks it
-    in one vectorized pass instead of ``validate_state`` per agent.
+    ``trial_seed`` itself, so a record is reproducible from its seed alone,
+    and its trace the scheduler's seed ``mix_seed(trial_seed, 1)``.  On the
+    compiled path the loop seeds both streams in C from ``trial_seed``,
+    draws the start with the numbers ``sample_uniform_config`` draws, and
+    checks it in one vectorized pass instead of ``validate_state`` per agent.
     """
-    start = np.random.default_rng(mix_seed(trial_seed, 0))
-    loop = _compiled_loop(protocol, g, params, start, safe_predicate)
+    loop = _compiled_loop(protocol, g, params, None, trial_seed, safe_predicate)
     if loop is None:
-        c0 = sample_uniform_config(protocol, params, start)
+        c0 = sample_uniform_config(protocol, params, mix_seed(trial_seed, 0))
         res = run_until(
             protocol, g, c0, params, mix_seed(trial_seed, 1), max_steps, safe_predicate,
             closure_window=closure_window, record_trace=record_trace,
         )
-    else:
-        if max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        res = _run(loop, True, protocol, g, params, mix_seed(trial_seed, 1), max_steps,
-                   safe_predicate, closure_window, record_trace)
-    return dataclasses.replace(res, seed=trial_seed)
+        return dataclasses.replace(res, seed=trial_seed)
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    res = _run(loop, True, protocol, g, params, trial_seed, max_steps, safe_predicate,
+               closure_window, record_trace)
+    if record_trace:
+        res.trace = InteractionTrace(res.trace.pairs, mix_seed(trial_seed, 1))
+    return res

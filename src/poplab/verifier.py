@@ -567,7 +567,9 @@ def _final_sets_within(tg: TransitionGraph, start: np.ndarray) -> list[np.ndarra
     for e in range(len(tg.directed_pairs)):
         moved = tg.step_keys(region, e)
         local[e] = moved if whole else np.searchsorted(region, moved)
-    components = [region[c] for c in _bottom_components(local)]
+    components = _bottom_components(local)
+    if not whole:  # a whole-space region is arange(config_count): its labels are its keys
+        components = [region[c] for c in components]
     del local  # the table, freed before the group's images are built
     if len(tg.group) > 1:  # with the identity alone, each set is its only image
         components = _group_images(tg, components)

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import re
 import shutil
 import subprocess
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poplab import _compiled, engine
+from poplab import _compiled, cli, engine
 from poplab.engine import (
     Field,
     Protocol,
@@ -317,7 +318,7 @@ def always_safe(protocol, g, params):
 
 def assert_same_run(protocol, g, params, seed, max_steps, closure_window, pred):
     c0 = sample_uniform_config(protocol, params, seed)
-    assert engine._compiled_loop(protocol, g, params, c0, pred) is not None
+    assert engine._compiled_loop(protocol, g, params, c0, seed, pred) is not None
     runs = [
         run_until(protocol, g, c0, params, seed, max_steps, p,
                   closure_window=closure_window, record_trace=True)
@@ -368,7 +369,7 @@ def assert_same_step(protocol, g, params, state_pairs):
     """One compiled step of pair (0, 1) equals protocol.step on each state pair."""
     assert g.directed_pairs[0] == (0, 1)
     loop = _compiled.CompiledLoop(_compiled.library(), protocol, g, params,
-                                  [state_pairs[0][0]] * g.n)
+                                  [state_pairs[0][0]] * g.n, 0)
     block = np.zeros(1, dtype=np.int64)  # one step of pair index 0
     mismatches = []
     for s0, s1 in state_pairs:
@@ -457,7 +458,7 @@ def test_compiled_loop_matches_python_loop_at_64_agents(compiled, kind):
 
 def converge_from(protocol, g, params, c0, pairs):
     """Run the compiled convergence loop from ``c0`` over the given directed pairs."""
-    loop = _compiled.CompiledLoop(_compiled.library(), protocol, g, params, c0)
+    loop = _compiled.CompiledLoop(_compiled.library(), protocol, g, params, c0, 0)
     block = np.array([g.directed_pairs.index(p) for p in pairs], dtype=np.int64)
     return loop.converge(block), loop.states()
 
@@ -536,61 +537,120 @@ def test_dispatch_takes_the_python_loop_unless_every_condition_holds(compiled):
     params = default_params(g, know_m=True)
     c0 = sample_uniform_config(NEIGHBOR, params, 0)
     pred = safe_predicate(NEIGHBOR, g, params)
-    assert engine._compiled_loop(NEIGHBOR, g, params, c0, pred) is not None
-    assert engine._compiled_loop(NEIGHBOR, g, params, c0, lambda states: pred(states)) is None
+    assert engine._compiled_loop(NEIGHBOR, g, params, c0, 0, pred) is not None
+    assert engine._compiled_loop(NEIGHBOR, g, params, c0, 0, lambda states: pred(states)) is None
     other = safe_predicate(NEIGHBOR, generate_graph("path", 5), params)
-    assert engine._compiled_loop(NEIGHBOR, g, params, c0, other) is None
+    assert engine._compiled_loop(NEIGHBOR, g, params, c0, 0, other) is None
     proxy = dataclasses.replace(NEIGHBOR)  # same functions, not the NEIGHBOR record
-    assert engine._compiled_loop(proxy, g, params, c0, pred) is None
+    assert engine._compiled_loop(proxy, g, params, c0, 0, pred) is None
     huge = dataclasses.replace(params, pmax=1 << 62)
-    assert engine._compiled_loop(NEIGHBOR, g, huge, c0, safe_predicate(NEIGHBOR, g, huge)) is None
+    assert engine._compiled_loop(NEIGHBOR, g, huge, c0, 0, safe_predicate(NEIGHBOR, g, huge)) is None
     rank_params = default_params(g)
     rank_c0 = sample_uniform_config(RANKING, rank_params, 0)
-    assert engine._compiled_loop(RANKING, g, rank_params, rank_c0, pred) is None
+    assert engine._compiled_loop(RANKING, g, rank_params, rank_c0, 0, pred) is None
     # Ranking with m known packs pmax, emax and m into the C header too.
     rank_huge = default_params(g, know_m=True, pmax=1 << 62)
     rank_huge_c0 = sample_uniform_config(RANKING, rank_huge, 0)
-    assert engine._compiled_loop(RANKING, g, rank_huge, rank_huge_c0,
+    assert engine._compiled_loop(RANKING, g, rank_huge, rank_huge_c0, 0,
                                  rank_safe_predicate(rank_huge)) is None
     g65 = generate_graph("path", 65)
     params65 = default_params(g65)
     c65 = sample_uniform_config(RANKING, params65, 0)
-    assert engine._compiled_loop(RANKING, g65, params65, c65, rank_safe_predicate(params65)) is None
+    assert engine._compiled_loop(RANKING, g65, params65, c65, 0,
+                                 rank_safe_predicate(params65)) is None
+    # Only an int seed is seeded in C; numpy seeds any other kind it takes.
+    for seed in (np.uint64(7), np.random.SeedSequence(7), np.random.default_rng(7)):
+        assert engine._compiled_loop(NEIGHBOR, g, params, c0, seed, pred) is None
+
+
+def test_a_seed_that_is_not_an_int_takes_the_python_loop_with_the_same_record(compiled,
+                                                                             monkeypatch):
+    g = generate_graph("cycle", 5)
+    params = default_params(g, know_m=True)
+    c0 = sample_uniform_config(NEIGHBOR, params, 0)
+    pred = safe_predicate(NEIGHBOR, g, params)
+    python_seeds = []
+    python_loop = engine._PythonLoop
+    monkeypatch.setattr(engine, "_PythonLoop",
+                        lambda *args: python_seeds.append(args[-1]) or python_loop(*args))
+    runs = [run_until(NEIGHBOR, g, c0, params, seed, 10**6, pred, closure_window=500,
+                      record_trace=True)
+            for seed in (7, np.uint64(7))]
+    assert [type(seed) for seed in python_seeds] == [np.uint64]
+    assert runs[0] == runs[1] and runs[0].steps_to_safe is not None
+    assert runs[0].final_states == runs[1].final_states
+    assert runs[0].trace == runs[1].trace
 
 
 # ---------------------------------------------------------------------------
-# The draws in C against numpy: the blocks, the start and the load-time check.
+# The seeding and draws in C against numpy: the streams, the blocks, the
+# start, the last phase's tail and the stream check.
 # ---------------------------------------------------------------------------
 
 # One bound per branch of _loop.c's draw_below: 0, 32-bit Lemire (twice), the
 # raw 32-bit word, 64-bit Lemire and the raw 64-bit word.
 DRAW_BOUNDS = [1, 12, 2**32 - 1, 2**32, 2**33 + 1, 2**64]
 
+# One to four entropy words, with a zero word inside and on both sides of 2^32 and 2^64.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**96 + 5]
+
+
+def test_c_seeding_matches_numpy(compiled):
+    lib = _compiled.library()
+    rng = np.random.default_rng(20)
+    seeds = EDGE_SEEDS + [int.from_bytes(rng.bytes(int(rng.integers(1, 17))), "little")
+                          for _ in range(200)]
+    for seed in seeds:
+        for index in (0, 1):
+            theirs = np.random.default_rng(mix_seed(seed, index))
+            assert _compiled.stream(lib, seed, index).tolist() == _compiled.numpy_words(theirs)
+        theirs = np.random.default_rng(seed)
+        assert _compiled.stream(lib, seed).tolist() == _compiled.numpy_words(theirs)
+
+
+def test_a_negative_seed_raises_numpys_error_on_both_paths(compiled):
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.default_rng(-1)
+    message = re.escape(str(numpy_error.value))
+    g = generate_graph("cycle", 4)
+    params = default_params(g)
+    pred = rank_safe_predicate(params)
+    c0 = sample_uniform_config(RANKING, params, 0)
+    for p in (pred, lambda states: pred(states)):
+        with pytest.raises(ValueError, match=message):
+            run_trial(RANKING, g, params, -1, max_steps=10, safe_predicate=p)
+        with pytest.raises(ValueError, match=message):
+            run_until(RANKING, g, c0, params, -1, 10, p)
+
 
 @pytest.mark.parametrize("bound", DRAW_BOUNDS)
 def test_c_draw_matches_rng_integers_at_every_branch(compiled, bound):
-    ours, theirs = np.random.default_rng(bound % 997), np.random.default_rng(bound % 997)
-    for rng in (ours, theirs):
-        rng.integers(0, 12, size=3)  # an odd number of 32-bit draws: the buffered half is live
+    lib = _compiled.library()
+    ours, theirs = _compiled.stream(lib, bound % 997), np.random.default_rng(bound % 997)
+    # An odd number of 32-bit draws first: the buffered half is live.
+    lib.draw(ours.ctypes.data, 11, 3, np.empty(3, dtype=np.uint64).ctypes.data)
+    theirs.integers(0, 12, size=3)
     got = np.empty(257, dtype=np.uint64)
-    _compiled._draw_with(_compiled.library().draw, ours, bound - 1, len(got), got.ctypes.data)
+    lib.draw(ours.ctypes.data, bound - 1, len(got), got.ctypes.data)
     want = theirs.integers(0, bound, size=len(got), dtype=np.uint64 if bound > 2**63 else np.int64)
     assert got.tolist() == want.tolist()
-    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.tolist() == _compiled.numpy_words(theirs)
 
 
 @pytest.mark.parametrize("kind, n", [("path", 2), ("complete", 8), ("cycle", 64)])
 def test_loop_draws_the_blocks_rng_integers_draws(compiled, kind, n):
+    # A phase that another follows draws each block whole, stopped or not.
     g = generate_graph(kind, n)
     params = default_params(g)
     loop = _compiled.CompiledLoop(_compiled.library(), RANKING, g, params,
-                                  sample_uniform_config(RANKING, params, 0))
-    ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
-    for size in (1, 7, engine._BLOCK, 100):
-        block = loop.draw(ours, size)
-        assert block.dtype == np.int64 and len(block) == size
-        assert block.tolist() == theirs.integers(0, len(g.directed_pairs), size=size).tolist()
-    assert ours.bit_generator.state == theirs.bit_generator.state
+                                  sample_uniform_config(RANKING, params, 0), n)
+    theirs = np.random.default_rng(n)
+    assert loop._stream.tolist() == _compiled.numpy_words(theirs)
+    for size, closure in ((1, False), (7, True), (engine._BLOCK, False), (100, True)):
+        block, consumed, _ = loop.advance(size, closure, False)
+        assert block.dtype == np.int64 and 1 <= consumed <= size
+        assert block[:size].tolist() == theirs.integers(0, len(g.directed_pairs), size=size).tolist()
+    assert loop._stream.tolist() == _compiled.numpy_words(theirs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 32, 33, 64])
@@ -598,13 +658,24 @@ def test_loop_draws_the_blocks_rng_integers_draws(compiled, kind, n):
 def test_c_drawn_start_matches_sample_uniform_config(compiled, protocol, n):
     # Neighbor's label sets have 2^n values: at n = 32 the raw 32-bit word, at
     # n = 33 64-bit Lemire, at n = 64 the per-field path of random_below.
+    lib = _compiled.library()
+    after_start = []
+
+    def draw_states(stream, *args):
+        lib.draw_states(stream, *args)
+        after_start.append(list((ctypes.c_uint64 * _compiled.STREAM_WORDS).from_address(stream)))
+
     g = generate_graph("path", n)
     params = default_params(g, know_m=protocol is NEIGHBOR)
     for seed in range(4):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        loop = _compiled.CompiledLoop(_compiled.library(), protocol, g, params, ours)
+        after_start.clear()
+        loop = _compiled.CompiledLoop(lib._replace(draw_states=draw_states), protocol, g, params,
+                                      None, seed)
+        theirs = np.random.default_rng(mix_seed(seed, 0))
         assert loop.states() == list(sample_uniform_config(protocol, params, theirs))
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert after_start == [_compiled.numpy_words(theirs)]
+        schedule = np.random.default_rng(mix_seed(seed, 1))
+        assert loop._stream.tolist() == _compiled.numpy_words(schedule)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -614,15 +685,57 @@ def test_c_drawn_start_matches_sample_uniform_config(compiled, protocol, n):
 def test_drawn_start_outside_the_domain_raises_the_state_check(compiled, field, value, message):
     lib = _compiled.library()
 
-    def bad_draw(bit_generator, lo, top, fields, count, out):
-        lib.draw_states(bit_generator, lo, top, fields, count, out)
+    def bad_draw(stream, lo, top, fields, count, out):
+        lib.draw_states(stream, lo, top, fields, count, out)
         ctypes.c_uint64.from_address(out + 8 * (fields + field)).value = value  # agent 1
 
     g = generate_graph("complete", 3)
     params = ProtocolParams(n=3, tmax=2)
     with pytest.raises(DomainViolation, match=message):
-        _compiled.CompiledLoop(lib._replace(draw_states=bad_draw), RANKING, g, params,
-                               np.random.default_rng(0))
+        _compiled.CompiledLoop(lib._replace(draw_states=bad_draw), RANKING, g, params, None, 0)
+
+
+@pytest.mark.parametrize("kind, n", [("complete", 3), ("cycle", 6), ("complete", 8)])
+def test_the_stream_after_convergence_ends_where_its_phase_ends(compiled, kind, n):
+    # With a window to follow, the stream stands after whole blocks, where
+    # numpy's stands; in the last phase, after the stopping step's draw.
+    g = generate_graph(kind, n)
+    params = default_params(g)
+    pred = rank_safe_predicate(params)
+    mid_block = 0
+    for seed in range(6):
+        c0 = sample_uniform_config(RANKING, params, seed)
+        for last in (False, True):
+            loop = _compiled.CompiledLoop(_compiled.library(), RANKING, g, params, c0, seed)
+            steps, safe = engine._draw_and_advance(loop, False, last, g.directed_pairs, 10**7,
+                                                   None)
+            assert safe and steps > 0
+            theirs = np.random.default_rng(seed)
+            drawn = steps if last else -(-steps // engine._BLOCK) * engine._BLOCK
+            for at in range(0, drawn, engine._BLOCK):
+                theirs.integers(0, len(g.directed_pairs), size=min(engine._BLOCK, drawn - at))
+            assert loop._stream.tolist() == _compiled.numpy_words(theirs)
+        mid_block += steps % engine._BLOCK != 0
+    assert mid_block == 6
+
+
+@pytest.mark.parametrize("window", [0, 1, 1_696, 100_000])
+def test_the_last_phase_rule_keeps_the_python_loops_runs(compiled, window):
+    # Each run stops converging mid-block at n >= 3; a window that follows
+    # starts where the Python loop's does.
+    for kind, n, seeds in (("complete", 3, range(3)), ("cycle", 6, range(1))):
+        g = generate_graph(kind, n)
+        params = default_params(g)
+        pred = rank_safe_predicate(params)
+        for seed in seeds:
+            res = assert_same_run(RANKING, g, params, seed, 10**6, window, pred)
+            assert res.steps_to_safe % engine._BLOCK != 0
+            runs = [run_trial(RANKING, g, params, seed, max_steps=10**6, safe_predicate=p,
+                              closure_window=window, record_trace=True)
+                    for p in (pred, lambda states: pred(states))]
+            assert runs[0] == runs[1] and runs[0].steps_to_safe % engine._BLOCK != 0
+            assert runs[0].final_states == runs[1].final_states
+            assert runs[0].trace == runs[1].trace
 
 
 @pytest.mark.parametrize("fork", ["values", "state"])
@@ -639,18 +752,95 @@ def test_library_refuses_a_draw_that_forks_the_seed_stream(compiled, monkeypatch
 
     monkeypatch.setattr(_compiled, "_reference_draws", forked)
     with pytest.raises(OSError, match="other numbers" if fork == "values" else "another state"):
-        _compiled.load()
-    _compiled.library.cache_clear()
+        _compiled.check_stream(_compiled.library())
+    starts = []
+    sample = engine.sample_uniform_config
+    monkeypatch.setattr(engine, "sample_uniform_config",
+                        lambda *args: starts.append(args) or sample(*args))
+    _compiled.stream_checked.cache_clear()
     try:
-        assert _compiled.library() is None
+        assert not _compiled.stream_checked()
+        assert _compiled.library() is not None  # the verifier keeps its compiled tables
         g = generate_graph("cycle", 4)
         params = default_params(g)
         pred = rank_safe_predicate(params)
-        assert engine._compiled_loop(RANKING, g, params, np.random.default_rng(0), pred) is None
+        assert engine._compiled_loop(RANKING, g, params, None, 0, pred) is None
+        run_trial(RANKING, g, params, 0, max_steps=10**6, safe_predicate=pred, closure_window=10)
+        assert len(starts) == 1  # the Python path samples the start in Python
     finally:
         monkeypatch.undo()
-        _compiled.library.cache_clear()
-    assert _compiled.library() is not None
+        _compiled.stream_checked.cache_clear()
+    assert _compiled.stream_checked()
+
+
+def test_verify_never_runs_the_stream_check(compiled, monkeypatch, capsys):
+    def check_stream(lib):
+        raise AssertionError("verify ran the stream check")
+
+    tables = []
+    step_pairs = _compiled.step_pairs
+    monkeypatch.setattr(_compiled, "check_stream", check_stream)
+    monkeypatch.setattr(_compiled, "step_pairs",
+                        lambda *args: tables.append(len(args[3])) or step_pairs(*args))
+    _compiled.stream_checked.cache_clear()
+    try:
+        assert cli.main(["verify", "--protocol", "ranking", "--graph", "complete:3",
+                         "--tmax", "2"]) == 0
+    finally:
+        _compiled.stream_checked.cache_clear()
+    assert '"verified": true' in capsys.readouterr().out
+    assert tables  # the pair tables were stepped in C
+
+
+# Each mutant is one text substitution of _loop.c that forks a seed stream.
+STREAM_MUTANTS = {
+    "seed words swapped": ("r.state += (u128)words[0] << 64 | words[1];",
+                           "r.state += (u128)words[1] << 64 | words[0];"),
+    "SeedSequence constant": ("#define MULT_A 0x931e8875U", "#define MULT_A 0x931e8877U"),
+    "tail left undrawn before a window": ("if (!(phase & LAST))", "if (!LAST)"),
+    "tail drawn from the wrong offset": ("for (int64_t i = done; i < len; i++)",
+                                         "for (int64_t i = done + 1; i < len; i++)"),
+}
+
+
+def stream_forked(lib) -> bool:
+    """Does the stream check refuse ``lib``, or a seeded run on it leave the Python loop's?"""
+    try:
+        _compiled.check_stream(lib)
+    except OSError:
+        return True
+    g = generate_graph("complete", 3)
+    params = default_params(g)
+    pred = rank_safe_predicate(params)
+    for seed in range(3):
+        c0 = sample_uniform_config(RANKING, params, seed)
+        want = run_until(RANKING, g, c0, params, seed, 10**6, lambda states: pred(states),
+                         closure_window=1_000, record_trace=True)
+        loop = _compiled.CompiledLoop(lib, RANKING, g, params, c0, seed)
+        try:
+            got = engine._run(loop, True, RANKING, g, params, seed, 10**6, pred, 1_000, True)
+        except RuntimeError:  # the Python predicate disagreed with C
+            return True
+        if (got, got.final_states, got.trace) != (want, want.final_states, want.trace):
+            return True
+    return False
+
+
+def test_stream_mutants_are_caught(compiled, tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    source = _compiled.SOURCE.read_text()
+    libs = {}
+    for name, (old, new) in {"unchanged": ("", ""), **STREAM_MUTANTS}.items():
+        assert name == "unchanged" or source.count(old) == 1, name
+        path = tmp_path / f"{len(libs)}.c"
+        path.write_text(source.replace(old, new) if old else source)
+        built = path.with_suffix(".so")
+        subprocess.run([cc, *_compiled.CC_FLAGS, "-o", str(built), str(path)], check=True)
+        libs[name] = _compiled.entries(built)
+    assert not stream_forked(libs.pop("unchanged"))
+    assert [name for name, lib in libs.items() if not stream_forked(lib)] == []
 
 
 @pytest.mark.parametrize("protocol", [RANKING, NEIGHBOR], ids=["ranking", "neighbor"])
