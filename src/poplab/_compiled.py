@@ -83,7 +83,6 @@ class Library(NamedTuple):
     step_pairs: Any  # poplab_step_pairs
     seed: Any  # poplab_seed
     seed_trial: Any  # poplab_seed_trial
-    draw: Any  # poplab_draw
     draw_states: Any  # poplab_draw_states
 
 
@@ -140,6 +139,17 @@ def _reference_draws(rng: np.random.Generator, bound: int, count: int) -> np.nda
     return rng.integers(0, bound, size=count, dtype=np.uint64)
 
 
+def draw(lib: Library, stream: np.ndarray, bound: int, out: np.ndarray) -> None:
+    """Fill ``out`` with draws from 0..bound-1 on the ``stream`` words, as ``rng.integers`` does.
+
+    ``poplab_draw_states`` with one field whose lowest value is 0, one row a draw.
+    """
+    if out.dtype != np.uint64 or not out.flags.c_contiguous:
+        raise ValueError("draws must go to a contiguous uint64 array")
+    lo, top = np.zeros(1, dtype=np.uint64), np.array([bound - 1], dtype=np.uint64)
+    lib.draw_states(stream.ctypes.data, lo.ctypes.data, top.ctypes.data, 1, len(out), out.ctypes.data)
+
+
 def check_stream(lib: Library) -> None:
     """Raise OSError unless C seeds numpy's streams, draws its numbers and leaves its state."""
     for seed in _CHECK_SEEDS:
@@ -151,7 +161,7 @@ def check_stream(lib: Library) -> None:
     ours, theirs = stream(lib, _CHECK_SEEDS[0]), np.random.default_rng(_CHECK_SEEDS[0])
     out = np.empty(_CHECK_DRAWS, dtype=np.uint64)
     for bound in _CHECK_BOUNDS:
-        lib.draw(ours.ctypes.data, bound - 1, len(out), out.ctypes.data)
+        draw(lib, ours, bound, out)
         if not np.array_equal(out, _reference_draws(theirs, bound, len(out))):
             raise OSError(f"_loop.c draws other numbers than numpy below {bound}")
     if ours.tolist() != numpy_words(theirs):
@@ -174,25 +184,17 @@ def entries(path: Path) -> Library:
     seed_trial = lib.poplab_seed_trial
     seed_trial.argtypes = [ctypes.c_char_p, int64, int64, pointer]
     seed_trial.restype = None
-    draw = lib.poplab_draw
-    draw.argtypes = [pointer, ctypes.c_uint64, int64, pointer]
-    draw.restype = None
     draw_states = lib.poplab_draw_states
     draw_states.argtypes = [pointer] * 3 + [int64, int64, pointer]
     draw_states.restype = None
-    return Library(advance, step_pairs, seed, seed_trial, draw, draw_states)
-
-
-def load() -> Library:
-    """The entries of the built library; raises OSError when it cannot be built or loaded."""
-    return entries(_build())
+    return Library(advance, step_pairs, seed, seed_trial, draw_states)
 
 
 @functools.cache
 def library() -> Library | None:
-    """``load()``, once per process, or None when the library cannot be built or loaded."""
+    """The entries of the built library, once per process, or None when it cannot be built or loaded."""
     try:
-        return load()
+        return entries(_build())
     except OSError:
         return None
 

@@ -16,9 +16,9 @@
  * gives them.  draw_below is numpy's random_bounded_uint64 with offset 0:
  * Lemire's rejection ("Fast Random Integer Generation in an Interval", 2019)
  * with its raw 32-bit and 64-bit branches, so a draw moves the stream as
- * rng.integers does.  poplab_draw is rng.integers(0, size, size=count);
- * poplab_draw_states draws agent by agent and field by field, as
- * Protocol.random_states consumes the stream on both of its paths.  Under
+ * rng.integers does.  poplab_draw_states draws agent by agent and field by
+ * field, as Protocol.random_states consumes the stream on both of its paths
+ * (one field and lo 0 are rng.integers(0, rng + 1, size=count)).  Under
  * _compiled.fits a field has at most 2^63 values, which both paths draw as
  * draw_below does, or exactly 2^64 (a label set at n = 64), for which
  * engine.random_below takes one raw 64-bit word, as draw_below does.
@@ -281,15 +281,6 @@ static inline u64 draw_below(pcg64 *r, u64 rng)
         return (u64)(m >> 64);
     }
     return next64(r);
-}
-
-/* out[i] = draw_below(stream, rng) for i < count. */
-void poplab_draw(u64 *stream, u64 rng, int64_t count, u64 *out)
-{
-    pcg64 r = pcg_load(stream);
-    for (int64_t i = 0; i < count; i++)
-        out[i] = draw_below(&r, rng);
-    pcg_store(&r, stream);
 }
 
 /* count rows of fields values, row-major: field f of a row is lo[f] plus a

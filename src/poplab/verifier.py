@@ -11,9 +11,8 @@ witnesses that a degree-claiming protocol cannot be self-stabilizing.
 The bottom SCCs are searched in a small forward-closed region R instead of
 the whole space (the grand coupling of Propp and Wilson's exact sampling).
 R is the forward closure of the image of a start set S under a composition
-W of pairs' maps: each pair of a maximum matching alternating with its
-reverse, then one pair at a time.  When S is every key, three facts make
-this exact:
+W of pairs' maps, one pair at a time.  When S is every key, three facts
+make this exact:
 
 - every bottom SCC is closed under each pair's map, so W sends it into
   itself, and the image of every key meets it;
@@ -23,12 +22,18 @@ this exact:
   path between two of its keys never leaves it, and no edge leaves it.
 
 So the result does not depend on the schedule of the maps, which only sets
-how small R is.  A matched pair and its reverse act on their two agents
-only, and the matched pairs on disjoint agents, so the image of every key
-under their maps is a product: each matched pair's image of its agents'
-digits, contracted on those two agents alone, times every digit of each
-unmatched agent.  It is built without visiting every key, and nothing in
-the search is as large as the configuration space unless R is.
+how small R is.  The image is grown in stages (``_start``): each pair of a
+maximum matching, then each unmatched agent.  A stage's keys carry digits
+of the agents held so far only, and stand for every key that agrees with
+them there.  A stage takes the outer sum of the previous stage's keys with
+its part, which is a matched pair's image of its two agents' digits,
+contracted on those two agents alone, or an unmatched agent's digits, and
+maps the sum through the pairs inside the agents now held.  Those pairs
+move no digit outside them, so each stage's keys, read as whole keys, are
+the image of the previous stage's under pair maps, and the final stage's
+are the image of S under one composition W.  It is built without visiting
+every key, and no stage holds more than the previous stage's keys times
+one part.
 
 A protocol may declare symmetries: state maps that commute with the step
 (``engine.Protocol``).  The group G they generate acts on a key by mapping
@@ -53,7 +58,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle, repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -330,9 +334,8 @@ def _symmetry_group(protocol, params, states, cells: np.ndarray) -> np.ndarray:
     return np.stack(list(elements.values()))
 
 
-# A pass is one step per pair the schedule draws from: every directed pair,
-# or a matched pair and its reverse.  Past the first steps the image is
-# small, so steps cost little.
+# A pass is one step per directed pair inside the agents held so far.  Past
+# the first steps the image is small, so steps cost little.
 _STALL_PASSES = 2
 
 
@@ -349,69 +352,57 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _contracted(tg: TransitionGraph, keys: np.ndarray, schedule, pairs: int) -> np.ndarray:
-    """``keys`` mapped through the pairs ``schedule`` names, one at a time, as distinct keys.
+def _within(tg: TransitionGraph, keys: np.ndarray, agents) -> np.ndarray:
+    """``keys`` mapped through the directed pairs inside ``agents``, one at a time, as distinct keys.
 
-    Stops once ``_STALL_PASSES`` passes of ``pairs`` steps in a row have
-    not shrunk the keys.
+    The pairs with both agents in ``agents`` are drawn by a generator of this
+    function's own, so the schedule is the same on every call.  Stops once
+    ``_STALL_PASSES`` passes in a row have not shrunk the keys.  Returns
+    ``keys`` unchanged when no pair lies inside, or when every pair's map is
+    a permutation (``tg.permutes``): no step can shrink them.
     """
+    inside = [e for e, (u, v) in enumerate(tg.directed_pairs) if u in agents and v in agents]
+    if tg.permutes or not inside:
+        return keys
+    rng = np.random.default_rng(0)
     stalls = 0
-    for e in schedule:
-        if stalls >= _STALL_PASSES * pairs:
-            break
-        nxt = _distinct(tg.step_keys(keys, e))
+    while stalls < _STALL_PASSES * len(inside):
+        nxt = _distinct(tg.step_keys(keys, inside[rng.integers(len(inside))]))
         stalls = stalls + 1 if nxt.size == keys.size else 0
         keys = nxt
     return keys
 
 
-def _matching_image(tg: TransitionGraph) -> np.ndarray:
-    """The start keys' image under a word per pair of a maximum matching, as distinct keys.
+def _start(tg: TransitionGraph) -> np.ndarray:
+    """The start of the search, grown one stage at a time, as ascending distinct keys.
 
-    The start keys are every key whose restricted agent holds one of
-    ``tg.representatives``: the first unmatched agent, or else the first
-    matched pair's initiator.  Matched pair (u, v)'s word is (u, v), then
-    (v, u) and (u, v) in turn until the image of its two agents' start
-    digits stops shrinking (``_contracted``).  The words act on disjoint
-    agents, so the image is the product of each word's image on its two
-    agents with the start digits of each unmatched agent.  When every pair's map is a
-    permutation the word is (u, v) alone, as no step can shrink the image.
-    The keys are not sorted.
+    The stages are the pairs of a maximum matching, in its order, then each
+    unmatched agent.  A matched pair's part is its table image of its two
+    agents' digits, mapped ``_within`` the pair; an unmatched agent's part
+    is its digits.  The restricted agent, the first unmatched agent or else
+    the first matched pair's initiator, holds ``tg.representatives`` only.
+    Each stage's keys are the outer sum of the previous stage's with its part,
+    mapped ``_within`` every agent held so far; a first stage that another
+    follows keeps its part as it is.
     """
     q = tg.agent_state_count
     digits = np.arange(q, dtype=np.int64)
-    representatives = tg.representatives
     matching = maximum_matching(tg.graph)
-    matched = {a for pair in matching for a in pair}
-    unmatched = [a for a in range(tg.graph.n) if a not in matched]
-    keys = np.zeros(1, dtype=np.int64)
-    for k, (u, v) in enumerate(matching):
-        e = tg.directed_pairs.index((u, v))
-        rows = representatives if k == 0 and not unmatched else digits
-        # Every pair of digits of u (of ``rows``) and v, all other digits 0, moved by the pair.
-        cells = rows[:, None] * q**u + digits[None, :] * q**v
-        factor = _distinct((cells + tg.deltas[e].reshape(q, q)[rows]).reshape(-1))
-        if not tg.permutes:
-            factor = _contracted(tg, factor, cycle((tg.directed_pairs.index((v, u)), e)), 2)
-        keys = np.add.outer(keys, factor).reshape(-1)
-    for a in unmatched:
-        keys = np.add.outer(keys, (representatives if a == unmatched[0] else digits) * q**a).reshape(-1)
-    return keys
-
-
-def _contracted_image(tg: TransitionGraph, image: np.ndarray) -> np.ndarray:
-    """``image`` mapped through one directed pair at a time until it stops shrinking, ascending.
-
-    The pairs are drawn by a generator of this function's own, so the
-    schedule is the same on every call.  When every pair's map is a
-    permutation (``tg.permutes``) the image is returned without a step: it
-    is as small as it gets, and still meets every final set.
-    """
-    if tg.permutes:  # no step can shrink it
-        return np.sort(image)
-    pairs = len(tg.directed_pairs)
-    rng = np.random.default_rng(0)
-    return _contracted(tg, image, (rng.integers(pairs) for _ in repeat(None)), pairs)
+    unmatched = [(a,) for a in range(tg.graph.n) if all(a not in pair for pair in matching)]
+    restricted = (unmatched or matching)[0][0]
+    stages = matching + unmatched
+    keys, held = np.zeros(1, dtype=np.int64), set()
+    for k, agents in enumerate(stages):
+        rows = tg.representatives if agents[0] == restricted else digits
+        part = rows * q**agents[0]
+        if len(agents) == 2:  # a matched pair (u, v)
+            e = tg.directed_pairs.index(agents)
+            # Every pair of digits of u (of ``rows``) and v, all other digits 0, moved by the pair.
+            cells = part[:, None] + digits * q**agents[1] + tg.deltas[e].reshape(q, q)[rows]
+            part = _within(tg, _distinct(cells.reshape(-1)), agents)
+        held.update(agents)
+        keys = part if k == 0 and len(stages) > 1 else _within(tg, np.add.outer(keys, part).reshape(-1), held)
+    return np.sort(keys)  # a permutation protocol's keys are never stepped, so not yet sorted
 
 
 def _forward_closure(tg: TransitionGraph, start: np.ndarray) -> np.ndarray:
@@ -541,13 +532,13 @@ def final_sets(tg: TransitionGraph) -> list[np.ndarray]:
     disjoint, each closed under every directed pair (exactly the
     configurations some schedule can trap the system in), and ordered by
     their first key.  The search runs in the forward closure of
-    ``_contracted_image(tg, _matching_image(tg))``: the product of the
-    matched pairs' contracted factors, one agent restricted to the orbit
-    representatives, contracted once more by one pair at a time.  The sets
-    found there and their images under ``tg.group`` are every final set.
-    The module docstring says why that is exact.
+    ``_start(tg)``: the start grown one stage at a time, a matched pair or
+    an unmatched agent a stage, with one agent restricted to the orbit
+    representatives, each stage contracted by the pairs inside the agents
+    held so far.  The sets found there and their images under ``tg.group``
+    are every final set.  The module docstring says why that is exact.
     """
-    return _final_sets_within(tg, _contracted_image(tg, _matching_image(tg)))
+    return _final_sets_within(tg, _start(tg))
 
 
 def _final_sets_within(tg: TransitionGraph, start: np.ndarray) -> list[np.ndarray]:
@@ -555,7 +546,7 @@ def _final_sets_within(tg: TransitionGraph, start: np.ndarray) -> list[np.ndarra
 
     The bottom SCCs found there come with their images under ``tg.group``.
     Exact whenever ``start`` meets some image under ``tg.group`` of every
-    final set; ``final_sets`` passes the contracted image.  The region is
+    final set; ``final_sets`` passes ``_start(tg)``.  The region is
     forward-closed, so each pair's image of it lies in it and
     ``np.searchsorted`` relabels it; a region holding every key is
     ``arange(config_count)``, its own labels.

@@ -292,7 +292,7 @@ def test_compiled_loop_loads_when_a_compiler_exists():
     # differential tests below would compare the Python loop with itself.
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    _compiled.load()  # raises OSError with the compiler's message
+    _compiled.entries(_compiled._build())  # raises OSError with the compiler's message
     assert _compiled.library() is not None
 
 
@@ -628,10 +628,10 @@ def test_c_draw_matches_rng_integers_at_every_branch(compiled, bound):
     lib = _compiled.library()
     ours, theirs = _compiled.stream(lib, bound % 997), np.random.default_rng(bound % 997)
     # An odd number of 32-bit draws first: the buffered half is live.
-    lib.draw(ours.ctypes.data, 11, 3, np.empty(3, dtype=np.uint64).ctypes.data)
+    _compiled.draw(lib, ours, 12, np.empty(3, dtype=np.uint64))
     theirs.integers(0, 12, size=3)
     got = np.empty(257, dtype=np.uint64)
-    lib.draw(ours.ctypes.data, bound - 1, len(got), got.ctypes.data)
+    _compiled.draw(lib, ours, bound, got)
     want = theirs.integers(0, bound, size=len(got), dtype=np.uint64 if bound > 2**63 else np.int64)
     assert got.tolist() == want.tolist()
     assert ours.tolist() == _compiled.numpy_words(theirs)

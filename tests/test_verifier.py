@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -21,9 +22,9 @@ from poplab.verifier import (
     TransitionGraph,
     Witness,
     _bottom_components,
-    _matching_image,
     _pair_tables,
     _result_indices,
+    _start,
     build_transition_graph,
     _final_sets_within,
     final_sets,
@@ -31,6 +32,34 @@ from poplab.verifier import (
     verify_self_stabilizing,
     verify_transition_graph,
 )
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """Every ``TransitionGraph.step_keys`` call from here on, as (pair index, number of keys)."""
+    calls = []
+    step_keys = TransitionGraph.step_keys
+
+    def recorded(self, keys, pair_index):
+        calls.append((pair_index, np.size(keys)))
+        return step_keys(self, keys, pair_index)
+
+    monkeypatch.setattr(TransitionGraph, "step_keys", recorded)
+    return calls
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """Every ``verifier._within`` call from here on, as (the keys handed in, the agents)."""
+    calls = []
+    within = verifier._within
+
+    def recorded(tg, keys, agents):
+        calls.append((keys, set(agents)))
+        return within(tg, keys, agents)
+
+    monkeypatch.setattr(verifier, "_within", recorded)
+    return calls
 
 
 # --- transition graphs -------------------------------------------------------
@@ -342,6 +371,10 @@ def _graph4(kind):
 ] + [
     pytest.param("complete", 2, 84_096, id="complete-tmax2"),
     pytest.param("path", 2, 21_504, id="path-tmax2"),
+    pytest.param("cycle", 2, 47_616, id="cycle-tmax2"),
+    pytest.param("paw", 2, 36_480, id="paw-tmax2"),
+    pytest.param("diamond", 2, 62_208, id="diamond-tmax2"),
+    pytest.param("star", 2, 16_128, id="star-tmax2"),
 ])
 def test_ranking_self_stabilizing_n4(monkeypatch, kind, tmax, final_configurations):
     # 192^4 ≈ 1.4e9 configurations at tmax=1 and 288^4 ≈ 6.9e9 at tmax=2,
@@ -635,13 +668,14 @@ def test_final_sets_match_the_whole_space(protocol, kind, n, tmax):
 
 
 @pytest.mark.parametrize("kind", ["complete", "path"])
-def test_matching_image_is_the_contracted_factor_times_the_unmatched_digits(monkeypatch, kind):
-    # Pair (0, 1) is matched and agent 2 is not.  The start set is the
-    # contracted factor of agents 0 and 1 times agent 2's digits: all q of
-    # them for a record without symmetries, and one per orbit for RANKING,
-    # whose label rotation and color swap generate a group of order 2n = 6.
-    # Without the factor's contraction the unrestricted start would be pair
-    # (0, 1)'s 4,704-key table image times q, 762,048 keys.
+def test_start_is_the_contracted_part_times_the_unmatched_digits(stepped, handed, kind):
+    # Pair (0, 1) is matched and agent 2 is not, so the start has two
+    # stages.  The last is handed the contracted part of agents 0 and 1
+    # times agent 2's digits: all q of them for a record without
+    # symmetries, and one per orbit for RANKING, whose label rotation and
+    # color swap generate a group of order 2n = 6.  Without the part's
+    # contraction the unrestricted product would be pair (0, 1)'s
+    # 4,704-key table image times q, 762,048 keys.
     g = generate_graph(kind, 3)
     params = ProtocolParams(n=3, tmax=2)
     tg = build_transition_graph(RANKING, g, params)
@@ -654,28 +688,60 @@ def test_matching_image_is_the_contracted_factor_times_the_unmatched_digits(monk
     assert np.unique(tg.group[:, representatives]).size == q == 6 * representatives.size
     np.testing.assert_array_equal(representatives, np.unique(tg.group.min(axis=0)))
 
-    step_keys = TransitionGraph.step_keys
     for record, digits, size in [(plain, np.arange(q), 89_424), (tg, representatives, 14_904)]:
-        start = _matching_image(record)
-        digit, low = np.divmod(start, q * q)
+        handed.clear()
+        stepped.clear()
+        final_sets(record)
+        # The pair's table image within the pair, then the product within all three agents.
+        assert [agents for _, agents in handed] == [{0, 1}, {0, 1, 2}]
+        product = handed[-1][0]
+        digit, low = np.divmod(product, q * q)
         factor = np.unique(low)
         assert factor.size == 552
-        assert np.unique(start).size == start.size == factor.size * digits.size == size
+        assert np.unique(product).size == product.size == factor.size * digits.size == size
         np.testing.assert_array_equal(np.unique(digit), digits)
+        assert max(count for _, count in stepped) <= product.size
         for pair in [(0, 1), (1, 0)]:  # contracted: neither of its pairs shrinks it
             assert np.unique(record.step_keys(factor, record.directed_pairs.index(pair))).size == factor.size
-
-        sizes = []
-
-        def measured(self, keys, pair_index):
-            sizes.append(np.size(keys))
-            return step_keys(self, keys, pair_index)
-
-        monkeypatch.setattr(TransitionGraph, "step_keys", measured)
-        final_sets(record)
-        monkeypatch.setattr(TransitionGraph, "step_keys", step_keys)
-        assert max(sizes) <= start.size
     assert [f.tolist() for f in final_sets(tg)] == [f.tolist() for f in final_sets(plain)]
+
+
+@pytest.mark.parametrize("tmax", [1, 2])
+def test_the_star_never_steps_both_unmatched_agents_whole(stepped, tmax):
+    # Every matching of the star leaves two agents unmatched.  A start that
+    # multiplied every state of the second one into the product stepped
+    # 13,713,408 keys at tmax=1 and 30,855,168 at tmax=2; growing the start
+    # one agent at a time steps at most 1,311,360 and 2,149,632.
+    g = generate_graph("star", 4)
+    params = ProtocolParams(n=4, tmax=tmax)
+    tg = build_transition_graph(RANKING, g, params, budget=10**10)
+    assert len(final_sets(tg)) == 24
+    assert max(count for _, count in stepped) < 4_000_000
+
+
+# sha256 of the start arrays that the matching product and its contraction
+# by one pair at a time gave before the start was grown in stages: the
+# verify-exhaustive graphs, the impossibility search's supergraph and K4.
+START_SHA256 = {
+    "ranking-complete:3-tmax2": (RANKING, "complete", 3, 2,
+                                 "cfffcafb8155ae76c03144ca3f8456563660afc74f79abbc0d63722290095462"),
+    "ranking-path:3-tmax2": (RANKING, "path", 3, 2,
+                             "3bfd7f94e7d9d61031ce7d0a6826b6d480a7f436bb58a9d397517be808cd993c"),
+    "greedydegree-complete:3": (GREEDY_DEGREE, "complete", 3, 1,
+                                "cf1d3fd8ae51372e5a13946f78af254b05f1b5334c24f0ad64e94f027c881c93"),
+    "ranking-complete:4": (RANKING, "complete", 4, 1,
+                           "bce7e82c2c5cb7eef288b96ec274648182021ebb3ab02d2b723cc9fc5c75b928"),
+}
+
+
+@pytest.mark.parametrize("protocol, kind, n, tmax, digest", list(START_SHA256.values()),
+                         ids=list(START_SHA256))
+def test_start_keeps_the_recorded_arrays(protocol, kind, n, tmax, digest):
+    tg = build_transition_graph(protocol, generate_graph(kind, n), ProtocolParams(n=n, tmax=tmax),
+                                budget=10**10)
+    start = _start(tg)
+    assert start.dtype == np.int64
+    assert hashlib.sha256(start.tobytes()).hexdigest() == digest
 
 
 def _red_recolor_step(s0, s1, params):
@@ -714,7 +780,7 @@ def test_a_broken_symmetry_searches_every_start(mutant, kind, n):
     plain = build_transition_graph(dataclasses.replace(mutant, symmetries=()), g, params)
     assert len(tg.group) == 1
     assert tg.representatives.size == tg.agent_state_count
-    np.testing.assert_array_equal(np.sort(_matching_image(tg)), np.sort(_matching_image(plain)))
+    np.testing.assert_array_equal(_start(tg), _start(plain))
     got = final_sets(tg)
     assert [sorted(f) for f in got] == _scipy_bottom_components(tg.successors)
 
@@ -740,22 +806,14 @@ def test_ranking_declares_a_group_of_order_2n(n, tmax):
 @pytest.mark.parametrize("protocol, kind", [
     (FIXED_OUTPUT, "complete"), (SWAP, "complete"), (SWAP, "path"), (OSCILLATOR, "star"),
 ], ids=lambda x: getattr(x, "name", x))
-def test_permutation_protocols_step_each_pair_once(monkeypatch, protocol, kind):
+def test_permutation_protocols_step_each_pair_once(stepped, protocol, kind):
     # The start set is every key, which no permutation can contract and
     # which is its own closure, so the one pass left relabels the region.
     g = generate_graph(kind, 4)
     tg = build_transition_graph(protocol, g, ProtocolParams(n=4, tmax=1))
     assert tg.permutes
-    calls = []
-    step_keys = TransitionGraph.step_keys
-
-    def counted(self, keys, pair_index):
-        calls.append(pair_index)
-        return step_keys(self, keys, pair_index)
-
-    monkeypatch.setattr(TransitionGraph, "step_keys", counted)
     got = final_sets(tg)
-    assert sorted(calls) == list(range(len(tg.directed_pairs)))
+    assert sorted(e for e, _ in stepped) == list(range(len(tg.directed_pairs)))
     assert sum(map(len, got)) == tg.config_count
 
 
@@ -776,7 +834,7 @@ TO_ZERO = Protocol(
 )
 
 
-def test_final_sets_allocate_nothing_the_size_of_the_space():
+def test_final_sets_allocate_nothing_the_size_of_the_space(handed):
     # 64^7 ≈ 4.4e12 configurations: an array with one byte per
     # configuration would raise MemoryError.
     g = generate_graph("path", 7)
@@ -784,10 +842,12 @@ def test_final_sets_allocate_nothing_the_size_of_the_space():
     count = 64**7
     tg = build_transition_graph(TO_ZERO, g, params, budget=count + 1)
     assert tg.config_count == count
-    start = _matching_image(tg)
-    assert start.dtype == np.int64
-    assert sorted(start.tolist()) == [d * 64**6 for d in range(64)]  # agent 6 is unmatched
-    assert tg.step_keys(start, len(tg.directed_pairs) - 1).dtype == np.int64
+    assert _start(tg).tolist() == [0]
+    last, agents = handed[-1]  # agent 6 is unmatched: the last stage adds its digits
+    assert agents == set(range(7))
+    assert last.dtype == np.int64
+    assert sorted(last.tolist()) == [d * 64**6 for d in range(64)]
+    assert tg.step_keys(last, len(tg.directed_pairs) - 1).dtype == np.int64
     assert [f.tolist() for f in final_sets(tg)] == [[0]]
     assert verify_self_stabilizing(TO_ZERO, g, params, lambda states: True, budget=count + 1) is True
     assert "successors" not in tg.__dict__
