@@ -1,12 +1,14 @@
 """The compiled step: build, load and drive ``_loop.c``.
 
 ``library()`` compiles ``_loop.c`` on first use with the system C compiler
-(``cc -O2 -shared -fPIC``, in a child process) and loads it with ``ctypes``.
+(``cc`` with ``CC_FLAGS``, in a child process) and loads it with ``ctypes``.
 The shared library is cached next to the bytecode in ``poplab/__pycache__/``
-under the sha256 of the source, written to a temporary name and moved into
-place, so concurrent first uses cannot see a half-written file and an edited
-source never loads a stale build.  ``library_for(protocol, params)`` is the
-one answer to whether ``_loop.c`` steps a record: ``engine.run_until`` and
+as ``_loop-<key>.so``.  The key is the sha256 of ``CC_FLAGS``, each flag
+followed by a NUL byte, and then of the source, so neither an edited source
+nor changed flags load a stale build.  A build is written to a temporary
+name and moved into place, so concurrent first uses cannot see a
+half-written file.  ``library_for(protocol, params)`` is the one answer to
+whether ``_loop.c`` steps a record: ``engine.run_until`` and
 ``engine.run_trial`` run ``CompiledLoop``, and ``verifier._pair_tables``
 calls ``step_pairs``, only when it returns the library; otherwise both keep
 their Python code, which is also what runs when there is no compiler or the
@@ -50,10 +52,16 @@ MAX_PARAM = 1 << 62  # keeps 2*m_known + 1 and every timer inside an int64
 CC_FLAGS = ("-O2", "-shared", "-fPIC")
 
 
+def _cache_path() -> Path:
+    """Where the build of the current source with ``CC_FLAGS`` is cached."""
+    key = hashlib.sha256("".join(f"{flag}\0" for flag in CC_FLAGS).encode())
+    key.update(SOURCE.read_bytes())
+    return SOURCE.parent / "__pycache__" / f"_loop-{key.hexdigest()}.so"
+
+
 def _build() -> Path:
-    """The cached shared library of the current source, compiled if missing."""
-    source = SOURCE.read_bytes()
-    cache = SOURCE.parent / "__pycache__" / f"_loop-{hashlib.sha256(source).hexdigest()}.so"
+    """The cached shared library of the current source and flags, compiled if missing."""
+    cache = _cache_path()
     if cache.exists():
         return cache
     cc = shutil.which("cc")

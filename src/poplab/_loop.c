@@ -36,8 +36,9 @@
  * step it stops at, since nothing reads the stream after it; otherwise it
  * draws the rest of the block too, so that the next phase's stream starts
  * where rng.integers(0, size, size=len) leaves numpy's.  Both phases are one
- * always-inline body with the protocol as a compile-time constant,
- * instantiated once per protocol.  The Python modules ranking.step,
+ * always-inline body, with the protocol and the phase as compile-time
+ * constants, instantiated once per protocol and phase (draw_below is always
+ * inline too, so a pair draw is no call).  The Python modules ranking.step,
  * neighbor.step, oracles.classify_rank_config and oracles.neighbor_safe are
  * the reference; this file mirrors them line for line and engine.run_until
  * confirms its verdicts with the Python predicate.
@@ -51,8 +52,16 @@
  * The O(n) predicate runs only when both censuses count n labels and, for
  * neighbor, no reset is live.  That gate is exact: RANKED, which
  * neighbor_safe checks first, holds only when both labelings are
- * permutations of 0..n-1, and neighbor_safe needs every resetE to be 0.  The
- * closure phase keeps no census.
+ * permutations of 0..n-1, and neighbor_safe needs every resetE to be 0.
+ *
+ * The closure phase keeps no census.  There an agent is at home (idA == idT)
+ * about one step in n, at random, so a branch on that mispredicts; its host
+ * branches once, on "at home with work to do": at home, and white or stale
+ * (cA != cT) or out of time (tT == 0).  That is exact: at home with cA == cT
+ * and tT > 0, host keeps all five fields, since colorT is never WHITE (its
+ * field starts at RED).  An empty asm keeps the test one branch; without it
+ * gcc splits it into short-circuit jumps.  The convergence form, where white
+ * and stale agents are common, and poplab_step_pairs keep the nested test.
  *
  * poplab_step_pairs applies the same step in place to each of count
  * (initiator, responder) row pairs, pair i being rows 2i and 2i+1, with no
@@ -248,7 +257,7 @@ void poplab_seed_trial(const unsigned char *seed, int64_t seed_words, int64_t in
 
 /* A uniform draw from 0..rng, as numpy's random_bounded_uint64 with offset 0
  * and Lemire's rejection (use_masked false) gives it. */
-static inline u64 draw_below(pcg64 *r, u64 rng)
+ALWAYS_INLINE u64 draw_below(pcg64 *r, u64 rng)
 {
     if (rng == 0)
         return 0;
@@ -296,10 +305,14 @@ void poplab_draw_states(u64 *stream, const u64 *lo, const u64 *rng, int64_t fiel
 }
 
 /* The agent side of a ranking step: agent a now hosts the token (idT, cT, tT). */
-ALWAYS_INLINE void host(u64 *restrict a, u64 idT, u64 cT, u64 tT, u64 n, u64 tmax)
+ALWAYS_INLINE void host(u64 *restrict a, u64 idT, u64 cT, u64 tT, u64 n, u64 tmax, int closure)
 {
     u64 idA = a[IDA], cA = a[COLORA];
-    if (idA == idT) {
+    /* In the closure phase: at home with work to do, as one branch (see the header). */
+    u64 act = closure ? (idA == idT) & ((cA != cT) | (tT == 0)) : idA == idT;
+    if (closure)
+        __asm__("" : "+r"(act));
+    if (act) {
         if (cA == WHITE)
             cA = cT;
         if (cA != cT) {
@@ -321,7 +334,7 @@ ALWAYS_INLINE void host(u64 *restrict a, u64 idT, u64 cT, u64 tT, u64 n, u64 tma
 }
 
 /* ranking.step on the rank parts of a0 (initiator) and a1 (responder). */
-ALWAYS_INLINE void rank_step(u64 *restrict a0, u64 *restrict a1, u64 n, u64 tmax)
+ALWAYS_INLINE void rank_step(u64 *restrict a0, u64 *restrict a1, u64 n, u64 tmax, int closure)
 {
     u64 idT0 = a1[IDT], cT0 = a1[COLORT], tT0 = a1[TIMERT];
     u64 idT1 = a0[IDT], cT1 = a0[COLORT], tT1 = a0[TIMERT];
@@ -331,8 +344,17 @@ ALWAYS_INLINE void rank_step(u64 *restrict a0, u64 *restrict a1, u64 n, u64 tmax
         tT0--;
     if (tT1 > 0)
         tT1--;
-    host(a0, idT0, cT0, tT0, n, tmax);
-    host(a1, idT1, cT1, tT1, n, tmax);
+    host(a0, idT0, cT0, tT0, n, tmax, closure);
+    host(a1, idT1, cT1, tT1, n, tmax, closure);
+}
+
+/* The set bits of x, by SWAR: baseline x86-64 has no popcnt, so
+ * __builtin_popcountll would be a call into libgcc. */
+ALWAYS_INLINE u64 popcount(u64 x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    return ((x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL) * 0x0101010101010101ULL >> 56;
 }
 
 /* The neighbor body of one agent after its rank part has stepped: deg is the
@@ -350,7 +372,7 @@ ALWAYS_INLINE void audit(u64 *restrict a, u64 partner_idA, u64 deg, u64 nb, u64 
     }
     nb |= (u64)1 << partner_idA;
     if (a[IDA] == a[IDT])
-        deg = (u64)__builtin_popcountll(nb);
+        deg = popcount(nb);
     if (!((counted >> a[IDT]) & 1)) {
         dsum += deg;
         if (dsum > cap)
@@ -366,7 +388,8 @@ ALWAYS_INLINE void audit(u64 *restrict a, u64 partner_idA, u64 deg, u64 nb, u64 
 }
 
 /* neighbor.step: the ranking step, then both agents' neighbor bodies. */
-ALWAYS_INLINE void neighbor_step(u64 *restrict a0, u64 *restrict a1, const int64_t *cfg)
+ALWAYS_INLINE void neighbor_step(u64 *restrict a0, u64 *restrict a1, const int64_t *cfg,
+                                 int closure)
 {
     /* The degree payload travels with the physical token. */
     u64 deg0 = a1[DEGREET], deg1 = a0[DEGREET];
@@ -375,7 +398,7 @@ ALWAYS_INLINE void neighbor_step(u64 *restrict a0, u64 *restrict a1, const int64
     shared = shared > 0 ? shared - 1 : 0;
     if (shared > 0)
         nb0 = nb1 = 0;
-    rank_step(a0, a1, (u64)cfg[CFG_N], (u64)cfg[CFG_TMAX]);
+    rank_step(a0, a1, (u64)cfg[CFG_N], (u64)cfg[CFG_TMAX], closure);
     audit(a0, a1[IDA], deg0, nb0, shared, cfg);
     audit(a1, a0[IDA], deg1, nb1, shared, cfg);
 }
@@ -471,15 +494,15 @@ static inline void census_move(census *c, u64 from, u64 to)
         c->distinct++;
 }
 
-/* One step of pair (a0, a1), the protocol fixed at compile time; n and tmax
- * come from cfg, read once by the caller. */
+/* One step of pair (a0, a1), the protocol and the phase fixed at compile
+ * time; n and tmax come from cfg, read once by the caller. */
 ALWAYS_INLINE void step(u64 *restrict a0, u64 *restrict a1, const int64_t *cfg, u64 n, u64 tmax,
-                        int neighbor)
+                        int neighbor, int closure)
 {
     if (neighbor)
-        neighbor_step(a0, a1, cfg);
+        neighbor_step(a0, a1, cfg, closure);
     else
-        rank_step(a0, a1, n, tmax);
+        rank_step(a0, a1, n, tmax, closure);
 }
 
 /* Pair index i of the block: drawn into it from the stream, or read from it. */
@@ -517,7 +540,7 @@ ALWAYS_INLINE int64_t converge(const int64_t *cfg, const int64_t *pairs,
         u64 *restrict a1 = states + pairs[2 * e + 1] * stride;
         u64 t0 = a0[IDT], l0 = a0[IDA], l1 = a1[IDA];
         int64_t live_before = neighbor ? (a0[RESETE] != 0) + (a1[RESETE] != 0) : 0;
-        step(a0, a1, cfg, (u64)n, tmax, neighbor);
+        step(a0, a1, cfg, (u64)n, tmax, neighbor, 0);
         /* The tokens swap: a0 now hosts a1's, a1 a0's or its collision bump. */
         census_move(&tokens, t0, a1[IDT]);
         census_move(&labels, l0, a0[IDA]);
@@ -546,7 +569,7 @@ ALWAYS_INLINE int64_t closure(const int64_t *cfg, const int64_t *pairs, u64 *sta
         u64 *restrict a1 = states + pairs[2 * e + 1] * stride;
         u64 o0 = a0[IDA], o1 = a1[IDA];
         u64 nb0 = neighbor ? a0[NEIGHBORS] : 0, nb1 = neighbor ? a1[NEIGHBORS] : 0;
-        step(a0, a1, cfg, n, tmax, neighbor);
+        step(a0, a1, cfg, n, tmax, neighbor, 1);
         if (a0[IDA] != o0 || a1[IDA] != o1)
             return i + 1;
         if (neighbor && (a0[NEIGHBORS] != nb0 || a1[NEIGHBORS] != nb1))
@@ -591,6 +614,6 @@ void poplab_step_pairs(const int64_t *cfg, u64 *rows, int64_t count)
     u64 n = (u64)cfg[CFG_N], tmax = (u64)cfg[CFG_TMAX];
     for (int64_t i = 0; i < count; i++) {
         u64 *a0 = rows + 2 * i * stride;
-        step(a0, a0 + stride, cfg, n, tmax, neighbor);
+        step(a0, a0 + stride, cfg, n, tmax, neighbor, 0);
     }
 }

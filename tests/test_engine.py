@@ -296,13 +296,29 @@ def test_compiled_loop_loads_when_a_compiler_exists():
     assert _compiled.library() is not None
 
 
-def test_loop_source_compiles_without_warnings():
+def test_loop_source_compiles_without_warnings(tmp_path):
+    # With the build's own flags, so that the optimizer's warnings count too.
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     proc = subprocess.run(
-        ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_compiled.SOURCE)],
+        ["cc", *_compiled.CC_FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "loop.so"),
+         str(_compiled.SOURCE)],
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_build_cache_is_keyed_by_the_flags_and_the_source(monkeypatch, tmp_path):
+    cached = _compiled._cache_path()
+    assert cached.parent == _compiled.SOURCE.parent / "__pycache__"
+    monkeypatch.setattr(_compiled, "CC_FLAGS", ("-O1", "-shared", "-fPIC"))
+    assert _compiled._cache_path().name != cached.name
+    monkeypatch.setattr(_compiled, "CC_FLAGS", ("-O2", "-shared-fPIC"))  # not the same flags
+    assert _compiled._cache_path().name != cached.name
+    monkeypatch.undo()
+    edited = tmp_path / "_loop.c"
+    edited.write_text(_compiled.SOURCE.read_text() + "\n")
+    monkeypatch.setattr(_compiled, "SOURCE", edited)
+    assert _compiled._cache_path().name != cached.name
 
 
 def always_safe(protocol, g, params):
@@ -365,31 +381,39 @@ def test_compiled_loop_matches_python_loop(compiled, protocol):
     assert outcomes == {(True, None), (False, True), (False, False)}
 
 
-def assert_same_step(protocol, g, params, state_pairs):
-    """One compiled step of pair (0, 1) equals protocol.step on each state pair."""
+def closure_mismatches(lib, protocol, g, params, state_pairs):
+    """Each state pair on which one closure-phase step of pair (0, 1) in C is not protocol.step."""
     assert g.directed_pairs[0] == (0, 1)
-    loop = _compiled.CompiledLoop(_compiled.library(), protocol, g, params,
-                                  [state_pairs[0][0]] * g.n, 0)
+    loop = _compiled.CompiledLoop(lib, protocol, g, params, [state_pairs[0][0]] * g.n, 0)
     block = np.zeros(1, dtype=np.int64)  # one step of pair index 0
-    mismatches = []
     for s0, s1 in state_pairs:
         loop._states[0] = protocol.flatten(s0)  # the C rows, written in place
         loop._states[1] = protocol.flatten(s1)
         assert loop.closure(block)[0] == 1
         got = tuple(loop.states()[:2])
         if got != protocol.step(s0, s1, params):
-            mismatches.append((s0, s1, got))
-    assert mismatches == []
+            yield s0, s1, got
+
+
+def assert_same_step(protocol, g, params, state_pairs):
+    """One compiled step of pair (0, 1) equals protocol.step on each state pair."""
+    assert list(closure_mismatches(_compiled.library(), protocol, g, params, state_pairs)) == []
+
+
+def every_ranking_pair_k3():
+    """complete:3, tmax=2, and all 162 x 162 ordered pairs of RANKING states there."""
+    params = ProtocolParams(n=3, tmax=2)
+    states = [RANKING.state_from_index(i, params) for i in range(RANKING.state_count(params))]
+    return generate_graph("complete", 3), params, [(s0, s1) for s0 in states for s1 in states]
 
 
 def test_compiled_step_matches_ranking_step_on_every_state_pair(compiled):
     # Seeded runs reach only some states; this covers all 162 x 162 pairs of
-    # states at n = 3, tmax = 2.
-    params = ProtocolParams(n=3, tmax=2)
-    states = [RANKING.state_from_index(i, params) for i in range(RANKING.state_count(params))]
-    pairs = [(s0, s1) for s0 in states for s1 in states]
+    # states at n = 3, tmax = 2, each stepped by the closure phase's form of
+    # the step, which the verifier's pair tables do not run.
+    g, params, pairs = every_ranking_pair_k3()
     assert len(pairs) == 26_244
-    assert_same_step(RANKING, generate_graph("complete", 3), params, pairs)
+    assert_same_step(RANKING, g, params, pairs)
 
 
 def test_compiled_step_matches_neighbor_step_on_random_state_pairs(compiled):
@@ -399,6 +423,11 @@ def test_compiled_step_matches_neighbor_step_on_random_state_pairs(compiled):
     pairs = [(NEIGHBOR.random_state(rng, params), NEIGHBOR.random_state(rng, params))
              for _ in range(5000)]
     assert_same_step(NEIGHBOR, g, params, pairs)
+    # A denser sample where every agent neighbors every other.
+    g = generate_graph("complete", 3)
+    params = default_params(g, know_m=True, tmax=2, pmax=2, emax=2)
+    states = NEIGHBOR.random_states(np.random.default_rng(2026), params, 40_000)
+    assert_same_step(NEIGHBOR, g, params, list(zip(states[::2], states[1::2])))
 
 
 def test_step_pairs_match_neighbor_step_on_random_state_pairs(compiled):
@@ -841,6 +870,33 @@ def test_stream_mutants_are_caught(compiled, tmp_path):
         libs[name] = _compiled.entries(built)
     assert not stream_forked(libs.pop("unchanged"))
     assert [name for name, lib in libs.items() if not stream_forked(lib)] == []
+
+
+# Each mutant is one text substitution of the closure phase's home test in _loop.c.
+HOME_MUTANTS = {
+    "timer run out dropped": ("((cA != cT) | (tT == 0))", "(cA != cT)"),
+    "white or stale dropped": ("((cA != cT) | (tT == 0))", "(tT == 0)"),
+    "away taken for home": ("(idA == idT) & (", "(idA != idT) & ("),
+}
+
+
+def test_closure_home_mutants_are_caught(compiled, tmp_path):
+    # The cell-by-cell check must tell each mutant's closure step from ranking.step.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    g, params, pairs = every_ranking_pair_k3()
+    source = _compiled.SOURCE.read_text()
+    caught = []
+    for i, (name, (old, new)) in enumerate(HOME_MUTANTS.items()):
+        assert source.count(old) == 1, name
+        path = tmp_path / f"{i}.c"
+        path.write_text(source.replace(old, new))
+        built = path.with_suffix(".so")
+        subprocess.run(["cc", *_compiled.CC_FLAGS, "-o", str(built), str(path)], check=True)
+        lib = _compiled.entries(built)
+        if next(closure_mismatches(lib, RANKING, g, params, pairs), None) is not None:
+            caught.append(name)
+    assert caught == list(HOME_MUTANTS)
 
 
 @pytest.mark.parametrize("protocol", [RANKING, NEIGHBOR], ids=["ranking", "neighbor"])
