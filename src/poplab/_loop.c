@@ -63,6 +63,23 @@
  * gcc splits it into short-circuit jumps.  The convergence form, where white
  * and stale agents are common, and poplab_step_pairs keep the nested test.
  *
+ * For neighbor, closure fills a table of the agents at the start of each
+ * call, O(n): the set bits of each agent's neighbor set, and whether it is
+ * calm: resetE is 0, dsum is short of the cap 2 m_known + 1, and counted
+ * holds every label 0..n-1 (at n = 64 that mask is ~0, as 1 << 64 is
+ * undefined).  A step whose two agents are both calm with timerP > 1, one
+ * branch as in host, takes the quiet path: the rank step, then per agent
+ * degreeT as a select (at home, the cached set bits plus one when the
+ * partner's bit is new; away, the carried payload), timerP - 1, and the
+ * neighbor set with the partner's bit.  That is exact.  Both resetE are 0,
+ * so the signal is 0 and wipes no set; timerP - 1 is at least 1, so the
+ * audit does not reset; the hosted token's label is below n and so already
+ * counted, which keeps dsum and counted; and dsum short of the cap keeps
+ * resetE 0.  Every other step runs the whole neighbor_step and refreshes its
+ * agents' calm bits, which only audit can change.  A neighbor set that
+ * changes changes the output and ends the call, so the cached set bits
+ * never go stale.
+ *
  * poplab_step_pairs applies the same step in place to each of count
  * (initiator, responder) row pairs, pair i being rows 2i and 2i+1, with no
  * schedule and no stop condition.
@@ -387,6 +404,27 @@ ALWAYS_INLINE void audit(u64 *restrict a, u64 partner_idA, u64 deg, u64 nb, u64 
     a[COUNTED] = counted;
 }
 
+/* A calm agent: no live reset, dsum short of the cap, and every label of
+ * full (0..n-1) counted.  Only audit writes these three fields. */
+ALWAYS_INLINE u64 calm(const u64 *a, u64 cap, u64 full)
+{
+    return (a[RESETE] == 0) & (a[DSUM] != cap) & ((a[COUNTED] & full) == full);
+}
+
+/* audit on the quiet path: a calm agent with timerP > 1 whose partner is
+ * calm too, and pop the set bits of its neighbor set.  Only degreeT, timerP
+ * and the neighbor set move; a new partner bit adds one to pop.  Returns
+ * whether the neighbor set grew. */
+ALWAYS_INLINE u64 quiet_audit(u64 *restrict a, u64 partner_idA, u64 deg, u64 pop)
+{
+    u64 nb = a[NEIGHBORS], grew = ~nb >> partner_idA & 1;
+    u64 home = (u64)0 - (a[IDA] == a[IDT]); /* all ones at home: a select, not a branch */
+    a[DEGREET] = ((pop + grew) & home) | (deg & ~home);
+    a[TIMERP] -= 1;
+    a[NEIGHBORS] = nb | (u64)1 << partner_idA;
+    return grew;
+}
+
 /* neighbor.step: the ranking step, then both agents' neighbor bodies. */
 ALWAYS_INLINE void neighbor_step(u64 *restrict a0, u64 *restrict a1, const int64_t *cfg,
                                  int closure)
@@ -401,6 +439,38 @@ ALWAYS_INLINE void neighbor_step(u64 *restrict a0, u64 *restrict a1, const int64
     rank_step(a0, a1, (u64)cfg[CFG_N], (u64)cfg[CFG_TMAX], closure);
     audit(a0, a1[IDA], deg0, nb0, shared, cfg);
     audit(a1, a0[IDA], deg1, nb1, shared, cfg);
+}
+
+/* The closure phase's table of the neighbor agents, filled per call. */
+typedef struct {
+    u64 pop[64];  /* the set bits of the agent's neighbor set */
+    u64 calm[64]; /* calm(agent) */
+} agents;
+
+/* neighbor_step in the closure phase, agents v0 and v1 in the table t: the
+ * quiet path when both are calm with timerP > 1, as one branch (see the
+ * header), else the whole step and the two calm bits refreshed.  Returns
+ * whether either agent's output changed. */
+ALWAYS_INLINE u64 neighbor_closure_step(u64 *restrict a0, u64 *restrict a1, int64_t v0,
+                                        int64_t v1, agents *t, const int64_t *cfg, u64 n,
+                                        u64 tmax, u64 cap, u64 full)
+{
+    u64 quiet = t->calm[v0] & t->calm[v1] & (a0[TIMERP] > 1) & (a1[TIMERP] > 1);
+    /* The memory clobber keeps each path's loads after the branch; hoisted
+     * above it for both paths, they spill. */
+    __asm__("" : "+r"(quiet) : : "memory");
+    if (quiet) {
+        u64 o0 = a0[IDA], o1 = a1[IDA], deg0 = a1[DEGREET], deg1 = a0[DEGREET];
+        rank_step(a0, a1, n, tmax, 1);
+        u64 grew = quiet_audit(a0, a1[IDA], deg0, t->pop[v0]);
+        grew |= quiet_audit(a1, a0[IDA], deg1, t->pop[v1]);
+        return grew | (a0[IDA] != o0) | (a1[IDA] != o1);
+    }
+    u64 o0 = a0[IDA], o1 = a1[IDA], nb0 = a0[NEIGHBORS], nb1 = a1[NEIGHBORS];
+    neighbor_step(a0, a1, cfg, 1);
+    t->calm[v0] = calm(a0, cap, full);
+    t->calm[v1] = calm(a1, cap, full);
+    return (a0[IDA] != o0) | (a1[IDA] != o1) | (a0[NEIGHBORS] != nb0) | (a1[NEIGHBORS] != nb1);
 }
 
 /* classify_rank_config(...) is RANKED: token labels distinct, agent labels
@@ -494,15 +564,15 @@ static inline void census_move(census *c, u64 from, u64 to)
         c->distinct++;
 }
 
-/* One step of pair (a0, a1), the protocol and the phase fixed at compile
- * time; n and tmax come from cfg, read once by the caller. */
+/* One step of pair (a0, a1) in the convergence form, the protocol fixed at
+ * compile time; n and tmax come from cfg, read once by the caller. */
 ALWAYS_INLINE void step(u64 *restrict a0, u64 *restrict a1, const int64_t *cfg, u64 n, u64 tmax,
-                        int neighbor, int closure)
+                        int neighbor)
 {
     if (neighbor)
-        neighbor_step(a0, a1, cfg, closure);
+        neighbor_step(a0, a1, cfg, 0);
     else
-        rank_step(a0, a1, n, tmax, closure);
+        rank_step(a0, a1, n, tmax, 0);
 }
 
 /* Pair index i of the block: drawn into it from the stream, or read from it. */
@@ -540,7 +610,7 @@ ALWAYS_INLINE int64_t converge(const int64_t *cfg, const int64_t *pairs,
         u64 *restrict a1 = states + pairs[2 * e + 1] * stride;
         u64 t0 = a0[IDT], l0 = a0[IDA], l1 = a1[IDA];
         int64_t live_before = neighbor ? (a0[RESETE] != 0) + (a1[RESETE] != 0) : 0;
-        step(a0, a1, cfg, (u64)n, tmax, neighbor, 0);
+        step(a0, a1, cfg, (u64)n, tmax, neighbor);
         /* The tokens swap: a0 now hosts a1's, a1 a0's or its collision bump. */
         census_move(&tokens, t0, a1[IDT]);
         census_move(&labels, l0, a0[IDA]);
@@ -556,23 +626,35 @@ ALWAYS_INLINE int64_t converge(const int64_t *cfg, const int64_t *pairs,
     return len;
 }
 
-/* The closure phase: step until an endpoint's output changes. */
+/* The closure phase: step until an endpoint's output changes; for neighbor,
+ * from the table of the agents (see the header). */
 ALWAYS_INLINE int64_t closure(const int64_t *cfg, const int64_t *pairs, u64 *states, pcg64 *rng,
                               int draws, int64_t *block, int64_t len, int64_t *hit, int neighbor)
 {
     u64 n = (u64)cfg[CFG_N], tmax = (u64)cfg[CFG_TMAX];
     int64_t stride = neighbor ? NEIGHBOR_FIELDS : RANK_FIELDS;
+    u64 cap = 2 * (u64)cfg[CFG_M_KNOWN] + 1;
+    u64 full = n == 64 ? ~(u64)0 : ((u64)1 << n) - 1; /* labels 0..n-1 */
+    agents t;
+    if (neighbor)
+        for (u64 v = 0; v < n; v++) {
+            t.pop[v] = popcount(states[v * NEIGHBOR_FIELDS + NEIGHBORS]);
+            t.calm[v] = calm(states + v * NEIGHBOR_FIELDS, cap, full);
+        }
     *hit = 1;
     for (int64_t i = 0; i < len; i++) {
         int64_t e = pair_index(block, i, rng, draws, cfg);
-        u64 *restrict a0 = states + pairs[2 * e] * stride;
-        u64 *restrict a1 = states + pairs[2 * e + 1] * stride;
+        int64_t v0 = pairs[2 * e], v1 = pairs[2 * e + 1];
+        u64 *restrict a0 = states + v0 * stride;
+        u64 *restrict a1 = states + v1 * stride;
+        if (neighbor) {
+            if (neighbor_closure_step(a0, a1, v0, v1, &t, cfg, n, tmax, cap, full))
+                return i + 1;
+            continue;
+        }
         u64 o0 = a0[IDA], o1 = a1[IDA];
-        u64 nb0 = neighbor ? a0[NEIGHBORS] : 0, nb1 = neighbor ? a1[NEIGHBORS] : 0;
-        step(a0, a1, cfg, n, tmax, neighbor, 1);
+        rank_step(a0, a1, n, tmax, 1);
         if (a0[IDA] != o0 || a1[IDA] != o1)
-            return i + 1;
-        if (neighbor && (a0[NEIGHBORS] != nb0 || a1[NEIGHBORS] != nb1))
             return i + 1;
     }
     *hit = 0;
@@ -614,6 +696,6 @@ void poplab_step_pairs(const int64_t *cfg, u64 *rows, int64_t count)
     u64 n = (u64)cfg[CFG_N], tmax = (u64)cfg[CFG_TMAX];
     for (int64_t i = 0; i < count; i++) {
         u64 *a0 = rows + 2 * i * stride;
-        step(a0, a0 + stride, cfg, n, tmax, neighbor, 0);
+        step(a0, a0 + stride, cfg, n, tmax, neighbor);
     }
 }

@@ -1,5 +1,7 @@
 import ctypes
 import dataclasses
+import functools
+import platform
 import re
 import shutil
 import subprocess
@@ -307,6 +309,25 @@ def test_loop_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_step_loops_call_no_function(tmp_path):
+    # Every step helper and draw is inlined into the two entries.  Baseline
+    # x86-64 has no popcnt instruction, so __builtin_popcountll would be a
+    # call into libgcc there.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    if platform.machine().lower() not in ("x86_64", "amd64") or platform.system() != "Linux":
+        pytest.skip("the assembly is read as x86-64 ELF")
+    listing = tmp_path / "loop.s"
+    subprocess.run(["cc", *_compiled.CC_FLAGS, "-S", "-o", str(listing), str(_compiled.SOURCE)],
+                   check=True)
+    text = listing.read_text()
+    for entry in ("poplab_advance", "poplab_step_pairs"):
+        body = re.search(rf"^{entry}:$(.*?)^\s*\.size\s+{entry},", text, re.M | re.S)
+        assert body is not None, entry
+        calls = re.findall(r"^\s*(call\w*|jmp\w*)\s+([^.\s]\S*)$", body.group(1), re.M)
+        assert calls == [], entry
+
+
 def test_build_cache_is_keyed_by_the_flags_and_the_source(monkeypatch, tmp_path):
     cached = _compiled._cache_path()
     assert cached.parent == _compiled.SOURCE.parent / "__pycache__"
@@ -332,8 +353,10 @@ def always_safe(protocol, g, params):
     return pred
 
 
-def assert_same_run(protocol, g, params, seed, max_steps, closure_window, pred):
-    c0 = sample_uniform_config(protocol, params, seed)
+def assert_same_run(protocol, g, params, seed, max_steps, closure_window, pred, start=None):
+    """The compiled and the Python loop give the same run from ``start``, by
+    default the uniform start of ``seed``."""
+    c0 = sample_uniform_config(protocol, params, seed) if start is None else start
     assert engine._compiled_loop(protocol, g, params, c0, seed, pred) is not None
     runs = [
         run_until(protocol, g, c0, params, seed, max_steps, p,
@@ -390,7 +413,7 @@ def closure_mismatches(lib, protocol, g, params, state_pairs):
         loop._states[0] = protocol.flatten(s0)  # the C rows, written in place
         loop._states[1] = protocol.flatten(s1)
         assert loop.closure(block)[0] == 1
-        got = tuple(loop.states()[:2])
+        got = tuple(map(protocol.unflatten, loop._states[:2].tolist()))
         if got != protocol.step(s0, s1, params):
             yield s0, s1, got
 
@@ -473,6 +496,177 @@ def test_compiled_neighbor_loop_at_mask_bit_63(compiled, kind, n):
     assert runs[0] == runs[1] and runs[0].steps_to_safe == 0 and runs[0].closure_ok
     assert runs[0].final_states == runs[1].final_states
     assert runs[0].trace == runs[1].trace
+
+
+# ---------------------------------------------------------------------------
+# The quiet path of the neighbor closure step: both agents calm (resetE 0,
+# dsum short of the cap, every label counted) with timerP > 1.
+# ---------------------------------------------------------------------------
+
+def counted_neighbor_config(g, params, seed):
+    """A neighbor-safe configuration of calm agents: labels and tokens equal to
+    agent ids, exact neighbor sets, every label counted into dsum = 2m, and
+    timerP drawn from 2..pmax, so that the audit resets are staggered."""
+    rng = np.random.default_rng(seed)
+    return tuple(
+        NeighborState(RankState(v, v, RED, RED, params.tmax), g.degree(v), 2 * g.m, 0,
+                      int(rng.integers(2, params.pmax + 1)), mask_of(g.adjacency[v]),
+                      (1 << g.n) - 1)
+        for v in range(g.n)
+    )
+
+
+COUNTED_CASES = {
+    "complete-2": ("complete", 2, {"pmax": 16}),  # counted resets every 16 agent steps
+    "cycle-5": ("cycle", 5, {"pmax": 7, "emax": 2}),
+    "complete-7": ("complete", 7, {}),
+    # At 64 agents counted is all 64 bits; the star's center resets and
+    # counts all 64 tokens again several times in the window.
+    "path-63": ("path", 63, {"pmax": 1000}),
+    "path-64": ("path", 64, {"pmax": 1000}),
+    "star-63": ("star", 63, {"pmax": 1000}),
+    "star-64": ("star", 64, {"pmax": 1000}),
+}
+COUNTED_WINDOW = 20_000
+
+
+def counted_case(name):
+    kind, n, ceilings = COUNTED_CASES[name]
+    g = generate_graph(kind, n)
+    params = default_params(g, know_m=True, **ceilings)
+    return g, params, counted_neighbor_config(g, params, n)
+
+
+@pytest.mark.parametrize("name", COUNTED_CASES)
+def test_compiled_neighbor_closure_from_counted_starts(compiled, name):
+    # From calm agents the closure window takes the quiet path on nearly
+    # every step, and the general path at each audit reset.
+    g, params, c0 = counted_case(name)
+    assert neighbor_safe(c0, g, params)
+    res = assert_same_run(NEIGHBOR, g, params, g.n, 10, COUNTED_WINDOW,
+                          safe_predicate(NEIGHBOR, g, params), start=c0)
+    assert res.steps_to_safe == 0 and res.closure_ok
+
+
+def quiet_boundary_pairs(g, params):
+    """Neighbor state pairs for pair (0, 1) at every edge of the quiet path's guard.
+
+    Each agent takes timerP in {0, 1, 2}, counted full or short of the label
+    it will host, dsum in {cap - 1, cap}, resetE in {0, 1, 2} and its
+    partner's label in its neighbor set or not, and the rank parts put each
+    agent at home or away after the step.  Labels are 0 (agent 0) and n - 1
+    (agent 1), so the top label is hosted, at home and away.
+    """
+    top, cap = g.n - 1, 2 * params.m_known + 1
+    full = (1 << g.n) - 1
+    # (agent 0's token, agent 1's token) for each (home 0, home 1): agent 0
+    # hosts agent 1's token and agent 1 agent 0's.
+    tokens = {(True, True): (top, 0), (True, False): (1, 0), (False, True): (top, 1),
+              (False, False): (1, top)}
+    pairs = []
+    for t0, t1 in tokens.values():
+        agents = []
+        for label, token, hosted, partner, deg in ((0, t0, t1, top, 1), (top, t1, t0, 0, 2)):
+            rank = RankState(label, token, RED, RED, params.tmax)
+            others = full & ~(1 << label | 1 << partner)
+            agents.append([
+                NeighborState(rank, deg, dsum, reset, timer, others | known << partner,
+                              full & ~(short << hosted))
+                for timer in (0, 1, 2) for short in (0, 1) for dsum in (cap - 1, cap)
+                for reset in (0, 1, 2) for known in (0, 1)
+            ])
+        pairs += [(s0, s1) for s0 in agents[0] for s1 in agents[1]]
+    return pairs
+
+
+def quiet_block_starts(g, params, count, seed):
+    """Ranked configurations of agents near calm, with a block of pair indices each.
+
+    Neighbor sets are exact, so only a reset signal ends a block early; timerP,
+    counted, dsum and resetE are drawn so that steps on the general path turn
+    agents calm (the last label counted, a resetE of 1 spent) or not calm (an
+    audit reset, dsum reaching the cap) in mid-block.
+    """
+    rng = np.random.default_rng(seed)
+    full, cap = (1 << g.n) - 1, 2 * params.m_known + 1
+    for _ in range(count):
+        config = []
+        for v in range(g.n):
+            short = int(rng.integers(0, g.n)) if rng.random() < 0.4 else None
+            config.append(NeighborState(
+                RankState(v, v, RED, RED, params.tmax), g.degree(v),
+                int(rng.integers(cap - 4, cap)), int(rng.choice([0, 0, 0, 1])),
+                int(rng.integers(1, params.pmax + 1)), mask_of(g.adjacency[v]),
+                full if short is None else full & ~(1 << short)))
+        yield config, rng.integers(0, len(g.directed_pairs), size=16)
+
+
+def is_calm(s, params, n):
+    return (s.resetE == 0 and s.dsum != 2 * params.m_known + 1
+            and s.counted == (1 << n) - 1)
+
+
+def python_closure(g, params, config, block):
+    """The closure phase in Python: (pairs consumed, stopped on an output change,
+    states after, how many times an agent whose calm bit a step turned steps again)."""
+    states, turned, refreshed = list(config), set(), 0
+    for i, e in enumerate(block):
+        u, v = g.directed_pairs[e]
+        refreshed += len(turned & {u, v})
+        before = (states[u], states[v])
+        states[u], states[v] = NEIGHBOR.step(states[u], states[v], params)
+        for w, s in zip((u, v), before):
+            if is_calm(s, params, g.n) != is_calm(states[w], params, g.n):
+                turned.add(w)
+        if any(NEIGHBOR.output(s) != NEIGHBOR.output(states[w]) for w, s in zip((u, v), before)):
+            return i + 1, True, states, refreshed
+    return len(block), False, states, refreshed
+
+
+QUIET_GRAPHS = {"complete-3": ("complete", 3), "cycle-5": ("cycle", 5)}
+
+
+@functools.cache
+def quiet_graph(name):
+    """The graph and its params, with ceilings small enough for the audit to reset often."""
+    g = generate_graph(*QUIET_GRAPHS[name])
+    return g, default_params(g, know_m=True, tmax=2, pmax=3, emax=3)
+
+
+@functools.cache
+def quiet_blocks(name):
+    """The blocks of ``quiet_block_starts`` with their Python closure phases."""
+    g, params = quiet_graph(name)
+    return [(config, block, python_closure(g, params, config, block))
+            for config, block in quiet_block_starts(g, params, 300, 7)]
+
+
+def block_mismatches(lib, name):
+    """Each block on which the compiled closure phase leaves the Python one."""
+    g, params = quiet_graph(name)
+    loop = _compiled.CompiledLoop(lib, NEIGHBOR, g, params, quiet_blocks(name)[0][0], 0)
+    for config, block, (done, hit, states, _) in quiet_blocks(name):
+        loop._states[:] = [NEIGHBOR.flatten(s) for s in config]
+        if loop.closure(block) != (done, hit) or loop.states() != states:
+            yield config, block
+
+
+@pytest.mark.parametrize("name", QUIET_GRAPHS)
+def test_quiet_path_boundary_pairs(compiled, name):
+    g, params = quiet_graph(name)
+    pairs = quiet_boundary_pairs(g, params)
+    assert len(pairs) == 4 * 72 * 72
+    assert_same_step(NEIGHBOR, g, params, pairs)
+
+
+@pytest.mark.parametrize("name", QUIET_GRAPHS)
+def test_quiet_path_blocks_refresh_the_calm_bits(compiled, name):
+    # Blocks of 16 steps in which general steps turn agents calm or not calm
+    # and those agents step again before the block ends.
+    blocks = quiet_blocks(name)
+    assert sum(refreshed for *_, (_, _, _, refreshed) in blocks) >= 1000
+    assert {hit for *_, (_, hit, _, _) in blocks} == {True, False}
+    assert list(block_mismatches(_compiled.library(), name)) == []
 
 
 @pytest.mark.parametrize("kind", ["cycle", "complete"])
@@ -897,6 +1091,74 @@ def test_closure_home_mutants_are_caught(compiled, tmp_path):
         if next(closure_mismatches(lib, RANKING, g, params, pairs), None) is not None:
             caught.append(name)
     assert caught == list(HOME_MUTANTS)
+
+
+# Each mutant is one text substitution of the neighbor closure step's quiet path in _loop.c.
+QUIET_MUTANTS = {
+    "timer test > 0": ("(a0[TIMERP] > 1)", "(a0[TIMERP] > 0)"),
+    "calm refresh dropped": ("    t->calm[v0] = calm(a0, cap, full);\n"
+                             "    t->calm[v1] = calm(a1, cap, full);\n", ""),
+    "full mask one label short": ("((u64)1 << n) - 1", "((u64)1 << (n - 1)) - 1"),
+    "dsum != cap dropped": ("(a[DSUM] != cap) & ", ""),
+    "cached set bits when the set grew": ("(pop + grew) & home", "pop & home"),
+}
+
+
+@functools.cache
+def python_counted_run(name):
+    g, params, c0 = counted_case(name)
+    pred = safe_predicate(NEIGHBOR, g, params)
+    return run_until(NEIGHBOR, g, c0, params, g.n, 10, lambda states: pred(states),
+                     closure_window=COUNTED_WINDOW, record_trace=True)
+
+
+def counted_run_forked(lib, name) -> bool:
+    """Does the closure window from ``counted_case(name)`` on ``lib`` leave the Python loop's?"""
+    g, params, c0 = counted_case(name)
+    loop = _compiled.CompiledLoop(lib, NEIGHBOR, g, params, c0, g.n)
+    got = engine._run(loop, True, NEIGHBOR, g, params, g.n, 10,
+                      safe_predicate(NEIGHBOR, g, params), COUNTED_WINDOW, True)
+    want = python_counted_run(name)
+    return (got, got.final_states, got.trace) != (want, want.final_states, want.trace)
+
+
+def quiet_path_caught(lib) -> bool:
+    """Does a check of the quiet path tell ``lib``'s closure step from ``neighbor.step``?
+
+    The blocks, then the boundary pairs, then the closure windows of the two
+    small counted cases.
+    """
+    if any(next(block_mismatches(lib, name), None) is not None for name in QUIET_GRAPHS):
+        return True
+    for name in QUIET_GRAPHS:
+        g, params = quiet_graph(name)
+        pairs = quiet_boundary_pairs(g, params)
+        if next(closure_mismatches(lib, NEIGHBOR, g, params, pairs), None) is not None:
+            return True
+    return any(counted_run_forked(lib, name) for name in ("complete-2", "cycle-5"))
+
+
+def test_quiet_path_mutants_are_caught(compiled, tmp_path):
+    # The mutants build side by side; the unchanged source, which library()
+    # built with the same flags, is the control.
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    source = _compiled.SOURCE.read_text()
+    builds = {}
+    for i, (name, (old, new)) in enumerate(QUIET_MUTANTS.items()):
+        assert source.count(old) == 1, name
+        path = tmp_path / f"{i}.c"
+        path.write_text(source.replace(old, new))
+        built = path.with_suffix(".so")
+        builds[name] = built, subprocess.Popen([cc, *_compiled.CC_FLAGS, "-o", str(built), str(path)])
+    assert not quiet_path_caught(_compiled.library())
+    missed = []
+    for name, (built, proc) in builds.items():
+        assert proc.wait(timeout=120) == 0, name
+        if not quiet_path_caught(_compiled.entries(built)):
+            missed.append(name)
+    assert missed == []
 
 
 @pytest.mark.parametrize("protocol", [RANKING, NEIGHBOR], ids=["ranking", "neighbor"])
